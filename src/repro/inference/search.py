@@ -19,9 +19,21 @@ columns contribute additively):
 
 The cached term ``H0 = Zc @ W1c + b1`` never changes between queries; one
 query only standardizes its shape-feature vector, adds the rank-one shape
-term, and runs the remaining layers chunk-wise through preallocated
-buffers.  :meth:`ExhaustiveSearch.top_k_batch` amortizes further by
-pushing many query shapes through each cache-resident chunk of ``H0``.
+term, and runs the remaining layers chunk-wise through scratch buffers.
+:meth:`ExhaustiveSearch.top_k_batch` amortizes further by pushing many
+query shapes through each cache-resident chunk of ``H0``.
+
+Every full pass over a candidate set — stage 1 below, the exhaustive
+fallback, cascade calibration — splits its chunk loop into ``W``
+contiguous, chunk-aligned row ranges that run at once on one
+process-wide thread pool (:mod:`repro.inference.partition`).  ``W`` is
+the process's BLAS thread budget, and BLAS runs one thread per scoring
+thread while the ranges run: a 2048-row chunk times a 32- or 64-wide
+layer is too small for a multi-threaded BLAS to pay off inside it, so
+the CPUs go across rows instead.  Each chunk keeps its rows and its BLAS
+call, so scores are bit-identical to the serial loop, which still runs
+when ``W`` is 1 — a worker process of the sharded tier, a process under
+``OPENBLAS_NUM_THREADS=1``, or a BLAS without a runtime thread control.
 
 Cold queries additionally run a **two-stage cascade**: stage 1 scores all
 candidates with the full model evaluated in float32 over a low-precision
@@ -33,14 +45,19 @@ fit) bounding ``|full - proxy|``; because the proxy is the same network
 at reduced precision, ``delta`` is rounding-sized (~1e-6 standardized
 units) rather than model-sized, and under that bound the shortlist
 provably contains the exhaustive top-k — the cascade is bit-identical to
-the exhaustive search.  (Cheaper stage-1 families — collapsed linear
-readouts, distilled students, certified interval bounds — were measured
-and rejected: their score error is orders of magnitude above the
-~0.01-unit gap between the top-k frontier and the candidate bulk, so no
-margin both sound and useful exists for them.)  Whenever the bound cannot
-be trusted — no calibration, weights changed since calibration, shortlist
-blown wide, or an observed gap above ``delta`` — the query transparently
-falls back to exhaustive scoring.
+the exhaustive search.  That needs stage 2's scores of a gathered
+shortlist to equal the exhaustive scores of the same rows bit for bit, so
+the float64 pass computes its width-1 output layer as a row-wise
+reduction (a BLAS product rounds a row differently depending on how many
+rows share the call) and scores a one-row chunk as two.  (Cheaper
+stage-1 families — collapsed linear readouts, distilled students,
+certified interval bounds — were measured and rejected: their score
+error is orders of magnitude above the ~0.01-unit gap between the top-k
+frontier and the candidate bulk, so no margin both sound and useful
+exists for them.)  Whenever the bound cannot be trusted — no
+calibration, weights changed since calibration, shortlist blown wide, or
+an observed gap above ``delta`` — the query transparently falls back to
+exhaustive scoring.
 """
 
 from __future__ import annotations
@@ -57,6 +74,7 @@ from repro.core.soa import LazyConfigList
 from repro.core.space import ParamSpace
 from repro.core.types import DType
 from repro.gpu.device import DeviceSpec
+from repro.inference.partition import map_rows
 from repro.mlp.crossval import CascadeCalibration, FitResult
 
 #: Rows per chunk of the folded evaluation: intermediates stay cache-resident
@@ -378,6 +396,34 @@ def clear_cache() -> None:
     conv_search.clear_bucket_cache()
 
 
+def _score_chunks(
+    h0: np.ndarray,
+    hs: Sequence[np.ndarray],
+    out: np.ndarray,
+    chunk_rows: int,
+    widths: Sequence[int],
+    score_chunk: Callable,
+) -> None:
+    """``out[b, rows] = score_chunk(h0[rows], hs[b])`` for every chunk.
+
+    Chunks start at multiples of ``chunk_rows``; each row range of
+    :func:`~repro.inference.partition.map_rows` owns one scratch buffer
+    per layer width (two rows at least, for the one-row pad) and scores
+    its chunks for every shape while they are cache-resident.
+    """
+
+    def score_rows(lo: int, hi: int) -> None:
+        rows = max(2, min(hi - lo, chunk_rows))
+        bufs = [np.empty((rows, w), dtype=out.dtype) for w in widths]
+        for c in range(lo, hi, chunk_rows):
+            e = min(hi, c + chunk_rows)
+            chunk = h0[c:e]
+            for b, h in enumerate(hs):
+                score_chunk(chunk, h, out[b, c:e], bufs)
+
+    map_rows(len(h0), chunk_rows, score_rows)
+
+
 @dataclass
 class Prediction:
     """One candidate from the exhaustive search."""
@@ -392,8 +438,8 @@ class _FoldedMLP:
     Splits the standardization and the first (affine) layer into a
     config-column part — applied once per candidate set — and a
     shape-column part applied per query.  The remaining layers run over
-    preallocated chunk buffers with in-place activations, numerically
-    identical (modulo float association) to the plain forward pass.
+    chunk buffers with in-place activations, numerically identical
+    (modulo float association) to the plain forward pass.
     """
 
     def __init__(self, fit: FitResult, n_config_features: int):
@@ -413,8 +459,6 @@ class _FoldedMLP:
         self._act0 = layers[0].activation
         self._rest = layers[1:]
         self._fit = fit
-        widths = [w1.shape[1]] + [lyr.w.shape[1] for lyr in self._rest]
-        self._bufs = [np.empty((_CHUNK_ROWS, w)) for w in widths]
 
     def is_current(self) -> bool:
         """Whether the folded snapshot still matches the live model.
@@ -443,7 +487,7 @@ class _FoldedMLP:
     def supports(fit: FitResult, n_features: int) -> bool:
         """Whether the model/scaler expose what folding needs."""
         layers = getattr(fit.model, "layers", None)
-        if not layers:
+        if layers is None or len(layers) < 2:
             return False
         first = layers[0]
         if not hasattr(first, "w") or not hasattr(first, "activation"):
@@ -473,29 +517,42 @@ class _FoldedMLP:
         return a
 
     def _eval_chunk(
-        self, h0_chunk: np.ndarray, h: np.ndarray, out_row: np.ndarray
+        self,
+        h0_chunk: np.ndarray,
+        h: np.ndarray,
+        out_row: np.ndarray,
+        bufs: list[np.ndarray],
     ) -> None:
         m = len(h0_chunk)
-        a = self._bufs[0][:m]
+        if m == 1:
+            # BLAS multiplies a one-row matrix with its matrix-vector
+            # routine, which rounds differently from the matrix-matrix
+            # one every longer chunk takes: score the row twice instead.
+            pair = np.empty(2)
+            self._eval_chunk(np.repeat(h0_chunk, 2, axis=0), h, pair, bufs)
+            out_row[:] = pair[:1]
+            return
+        a = bufs[0][:m]
         np.add(h0_chunk, h, out=a)
         self._activate(self._act0, a)
-        for layer, buf in zip(self._rest, self._bufs[1:]):
+        for layer, buf in zip(self._rest[:-1], bufs[1:]):
             nxt = buf[:m]
             np.dot(a, layer.w, out=nxt)
             nxt += layer.b
             self._activate(layer.activation, nxt)
             a = nxt
-        out_row[:] = a[:, 0]
+        # The width-1 output layer as a row-wise reduction: a BLAS
+        # product rounds a row differently depending on how many rows
+        # share the call, and stage 2 re-scores gathers of rows the
+        # exhaustive path scores in whole chunks.
+        last = self._rest[-1]
+        np.einsum("ij,j->i", a, last.w[:, 0], out=out_row)
+        out_row += last.b[0]
+        self._activate(last.activation, out_row)
 
     def predict(self, h0: np.ndarray, shape_vec: np.ndarray) -> np.ndarray:
         """Standardized model outputs for every candidate at one shape."""
-        h = self._shape_term(shape_vec)
-        n = len(h0)
-        out = np.empty(n)
-        for lo in range(0, n, _CHUNK_ROWS):
-            hi = min(n, lo + _CHUNK_ROWS)
-            self._eval_chunk(h0[lo:hi], h, out[lo:hi])
-        return out
+        return self.predict_batch(h0, [shape_vec])[0]
 
     def predict_batch(
         self, h0: np.ndarray, shape_vecs: Sequence[np.ndarray]
@@ -504,16 +561,14 @@ class _FoldedMLP:
 
         Each chunk of the candidate term is evaluated for every shape
         while it is cache-resident, so the batch pays the memory traffic
-        of a single query.
+        of a single query.  Row ranges run in parallel.
         """
         hs = [self._shape_term(v) for v in shape_vecs]
-        n = len(h0)
-        out = np.empty((len(hs), n))
-        for lo in range(0, n, _CHUNK_ROWS):
-            hi = min(n, lo + _CHUNK_ROWS)
-            chunk = h0[lo:hi]
-            for b, h in enumerate(hs):
-                self._eval_chunk(chunk, h, out[b, lo:hi])
+        out = np.empty((len(hs), len(h0)))
+        widths = [self._b1.shape[0]] + [
+            lyr.w.shape[1] for lyr in self._rest[:-1]
+        ]
+        _score_chunks(h0, hs, out, _CHUNK_ROWS, widths, self._eval_chunk)
         return out
 
 
@@ -540,7 +595,7 @@ class _Cascade:
     """Stage-1 scorer: the full network evaluated in float32.
 
     Runs every layer of the folded model in float32 over the cached
-    float32 twin of ``H0``, chunk-wise through preallocated buffers (the
+    float32 twin of ``H0``, chunk-wise through scratch buffers (the
     float64 hot path's structure, at half the memory traffic and roughly
     twice the sgemm throughput).  The proxy is therefore the same
     function as the exhaustive scorer up to float32 rounding, so the
@@ -559,7 +614,7 @@ class _Cascade:
     """
 
     __slots__ = ("margins", "_ws", "_bs", "_acts", "_w_out", "_b_out",
-                 "_act_out", "_rest_snapshot", "_folded", "_bufs")
+                 "_act_out", "_rest_snapshot", "_folded", "_widths")
 
     def __init__(self, folded: _FoldedMLP, margins: Mapping[str, float]):
         self.margins = dict(margins)
@@ -576,10 +631,7 @@ class _Cascade:
         self._act_out = last.activation
         self._rest_snapshot = [(lyr.w.copy(), lyr.b.copy()) for lyr in rest]
         self._folded = folded
-        widths = [folded._b1.shape[0]] + [w.shape[1] for w in self._ws]
-        self._bufs = [
-            np.empty((_CASCADE_CHUNK, w), dtype=np.float32) for w in widths
-        ]
+        self._widths = [folded._b1.shape[0]] + [w.shape[1] for w in self._ws]
 
     def is_current(self) -> bool:
         rest = self._folded._rest
@@ -591,15 +643,17 @@ class _Cascade:
         )
 
     def _score_chunk(
-        self, chunk: np.ndarray, h: np.ndarray, out_row: np.ndarray
+        self,
+        chunk: np.ndarray,
+        h: np.ndarray,
+        out_row: np.ndarray,
+        bufs: list[np.ndarray],
     ) -> None:
         m = len(chunk)
-        a = self._bufs[0][:m]
+        a = bufs[0][:m]
         np.add(chunk, h, out=a)
         _FoldedMLP._activate(self._folded._act0, a)
-        for w, b, act, buf in zip(
-            self._ws, self._bs, self._acts, self._bufs[1:]
-        ):
+        for w, b, act, buf in zip(self._ws, self._bs, self._acts, bufs[1:]):
             nxt = buf[:m]
             np.dot(a, w, out=nxt)
             np.add(nxt, b, out=nxt)
@@ -612,17 +666,12 @@ class _Cascade:
     def scores(self, h0_lo: np.ndarray, shape_vec: np.ndarray) -> np.ndarray:
         """Float32 proxy scores for every candidate at one query shape.
 
-        Chunk boundaries are fixed multiples of ``_CHUNK_ROWS``, so the
-        result is bit-reproducible for a given candidate set — the
-        calibration-time and query-time proxies are the same numbers.
+        Chunk boundaries are fixed multiples of ``_CASCADE_CHUNK`` however
+        the rows are partitioned, so the result is bit-reproducible for a
+        given candidate set — the calibration-time and query-time proxies
+        are the same numbers.
         """
-        h = self._folded._shape_term(shape_vec).astype(np.float32)
-        n = len(h0_lo)
-        out = np.empty(n, dtype=np.float32)
-        for lo in range(0, n, _CASCADE_CHUNK):
-            hi = min(n, lo + _CASCADE_CHUNK)
-            self._score_chunk(h0_lo[lo:hi], h, out[lo:hi])
-        return out
+        return self.scores_many(h0_lo, [shape_vec])[0]
 
     def scores_many(
         self, h0_lo: np.ndarray, shape_vecs: Sequence[np.ndarray]
@@ -631,19 +680,17 @@ class _Cascade:
 
         Per-shape results are bit-identical to :meth:`scores` (same
         chunking, same per-shape operations); only the traffic over the
-        low-precision ``H0`` twin is amortized across the batch.
+        low-precision ``H0`` twin is amortized across the batch.  Row
+        ranges run in parallel.
         """
         hs = [
             self._folded._shape_term(v).astype(np.float32)
             for v in shape_vecs
         ]
-        n = len(h0_lo)
-        out = np.empty((len(hs), n), dtype=np.float32)
-        for lo in range(0, n, _CASCADE_CHUNK):
-            hi = min(n, lo + _CASCADE_CHUNK)
-            chunk = h0_lo[lo:hi]
-            for b, h in enumerate(hs):
-                self._score_chunk(chunk, h, out[b, lo:hi])
+        out = np.empty((len(hs), len(h0_lo)), dtype=np.float32)
+        _score_chunks(
+            h0_lo, hs, out, _CASCADE_CHUNK, self._widths, self._score_chunk
+        )
         return out
 
 

@@ -56,6 +56,7 @@ from repro.core.profile_cache import ProfileCache
 from repro.core.tuner import Isaac, TuneReport
 from repro.core.types import DType
 from repro.gpu.device import DeviceSpec, get_device
+from repro.inference.partition import blas_threads, scoring_width
 from repro.inference.topk import RankedKernel, best_after_rerank, rerank
 from repro.service.faults import inject
 from repro.service.online import ModelUpdate, OnlineConfig, OnlineLearner
@@ -1430,7 +1431,12 @@ class WorkerEngine:
         return adopted
 
     def stats(self) -> dict:
-        """Zero-copy accounting, reported back over the control pipe."""
+        """Zero-copy accounting, reported back over the control pipe.
+
+        Also the worker's BLAS thread budget and its scoring width
+        (:mod:`repro.inference.partition`), both 1 under the pool's
+        default cap.
+        """
         cascade_searches = exhaustive = fallbacks = 0
         for tuner in self._tuners.values():
             search = tuner.searcher
@@ -1450,6 +1456,8 @@ class WorkerEngine:
             "cascade_searches": cascade_searches,
             "exhaustive_searches": exhaustive,
             "cascade_fallbacks": fallbacks,
+            "blas_threads": blas_threads(),
+            "scoring_width": scoring_width(),
         }
 
     # ------------------------------------------------------------------

@@ -15,9 +15,10 @@ workers attach and rebuild numpy views over the same physical pages
 (zero re-enumeration, zero per-worker copy).  Only the small artifacts —
 fit bytes, record metadata, the manifest — travel over the boot pipe.
 
-Lifecycle per worker: spawn (``spawn`` context; BLAS thread caps are set
-in the child *before* numpy is imported, which is why this module's
-import surface is stdlib-only), warm boot handshake (``ready`` with
+Lifecycle per worker: spawn (``spawn`` context; the child caps its BLAS
+threads first, through the runtime setter of
+:mod:`repro.inference.partition`, which takes effect although the spawn
+has already imported numpy), warm boot handshake (``ready`` with
 zero-copy accounting, or ``boot-error``), then a lockstep RPC loop
 driven by a parent-side manager thread.  A crash mid-flush (EOF, broken
 pipe, dead process) respawns the worker and retries the same job up to
@@ -82,9 +83,7 @@ def _ring_hash(data: str) -> int:
 def _chaos(site: str) -> None:
     """Fault-injection checkpoint (:mod:`repro.service.faults`).
 
-    Imported lazily: in the child this runs long after the BLAS env caps
-    landed, and in the parent the service package is already up — either
-    way the module's stdlib-only import surface stays intact.
+    Imported lazily, so the module's import surface stays stdlib-only.
     """
     from repro.service.faults import inject
 
@@ -98,20 +97,16 @@ def _chaos(site: str) -> None:
 def _worker_main(conn, blas_threads: int) -> None:
     """Worker process: cap BLAS, warm-boot, then serve the RPC loop.
 
-    The env caps must land before numpy's first import or they are
-    ignored — the whole point of process sharding is one core per
-    worker, and an oversubscribed BLAS pool would thrash it back away.
+    The whole point of process sharding is one core per worker, and an
+    oversubscribed BLAS pool would thrash it back away.  The cap is set
+    at run time: the spawn has imported numpy before this runs, so
+    ``OPENBLAS_NUM_THREADS`` written here would be ignored.  A worker
+    capped to one BLAS thread also scores its rows serially (a scoring
+    width of 1).
     """
-    import os
+    from repro.inference.partition import set_blas_threads
 
-    for var in (
-        "OPENBLAS_NUM_THREADS",
-        "OMP_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ[var] = str(blas_threads)
-
+    set_blas_threads(blas_threads)
     pack = None
     try:
         kind, boot = conn.recv()

@@ -1,11 +1,16 @@
 """Tests for exhaustive search, top-k re-ranking and CONV candidates."""
 
+import os
+import signal
+import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from repro.core.batched import BatchedGemmShape
 from repro.core.config import GemmConfig
 from repro.core.legality import is_legal_conv, is_legal_gemm
 from repro.core.types import ConvShape, DType, GemmShape
@@ -18,8 +23,12 @@ from repro.inference.conv_search import (
     conv_config_from_gemm,
     factorize_tile,
 )
+from repro.inference import partition
 from repro.inference.search import (
+    _CASCADE_CHUNK,
+    _CHUNK_ROWS,
     ExhaustiveSearch,
+    _Cascade,
     legal_configs,
     legal_configs_reference,
 )
@@ -309,3 +318,267 @@ class TestConvBuckets:
         a = search.candidates(self.SHAPE)
         b = search.candidates(same)
         assert a[0] is b[0]
+
+
+# ----------------------------------------------------------------------
+# Row-partitioned scoring: every width gives the serial numbers
+# ----------------------------------------------------------------------
+
+_OP_SHAPES = {
+    "gemm": [
+        GemmShape(2560, 16, 2560, DType.FP32, False, False),
+        GemmShape(512, 512, 512, DType.FP32, False, True),
+        GemmShape(48, 512, 128, DType.FP32, False, True),
+    ],
+    "conv": [
+        ConvShape.from_output(n=4, p=12, q=12, k=64, c=32, r=3, s=3),
+        ConvShape.from_output(n=2, p=6, q=6, k=16, c=8, r=3, s=3),
+    ],
+    "bgemm": [
+        BatchedGemmShape(batch=16, base=GemmShape(64, 64, 128)),
+        BatchedGemmShape(batch=64, base=GemmShape(128, 96, 256)),
+    ],
+}
+
+_OP_TUNERS = {
+    "gemm": "trained_gemm_tuner",
+    "conv": "small_conv_tuner",
+    "bgemm": "small_bgemm_tuner",
+}
+
+
+@pytest.fixture
+def force_width(monkeypatch):
+    """Pin the scoring width (the BLAS budget stays the host's)."""
+
+    def force(width: int) -> None:
+        monkeypatch.setattr(partition, "scoring_width", lambda: width)
+
+    return force
+
+
+@pytest.fixture
+def blas_budget():
+    """A known BLAS thread budget (2) for the test; the host's after."""
+    before = partition.blas_threads()
+    if before is None:  # no runtime control: nothing to pin or restore
+        yield None
+        return
+    partition.set_blas_threads(2)
+    try:
+        yield 2
+    finally:
+        partition.set_blas_threads(before)
+
+
+def _scoring_inputs(tuner, shapes):
+    """A searcher's candidate set for ``shapes[0]`` and shape vectors."""
+    search = tuner.searcher
+    cs = search._candidate_set(shapes[0])
+    key = search.spec.candidate_cache_key(
+        search._device, shapes[0], search._space
+    )
+    h0_lo = search._ensure_lowres(key, cs)
+    vecs = [search.spec.shape_vector(s, log=True) for s in shapes]
+    return search, cs, h0_lo, vecs
+
+
+def _tops(preds):
+    return [(p.config, p.predicted_tflops) for p in preds]
+
+
+@pytest.mark.parametrize("op", ["gemm", "conv", "bgemm"])
+def test_partitioned_scoring_is_bit_identical(op, request, force_width):
+    """Widths 2 and 3 reproduce width 1 exactly, on sets smaller than a
+    chunk, between chunk multiples, and whole."""
+    tuner = request.getfixturevalue(_OP_TUNERS[op])
+    search, cs, h0_lo, vecs = _scoring_inputs(tuner, _OP_SHAPES[op])
+    folded = search._folded
+    cas = _Cascade(folded, {})
+    n = len(cs.configs)
+    sizes = {1, 7, _CASCADE_CHUNK - 1, 3 * _CASCADE_CHUNK + 5,
+             _CHUNK_ROWS + 1, n}
+    for rows in sorted(r for r in sizes if r <= n):
+        results = {}
+        for width in (1, 2, 3):
+            force_width(width)
+            results[width] = (
+                cas.scores_many(h0_lo[:rows], vecs),
+                cas.scores(h0_lo[:rows], vecs[0]),
+                folded.predict_batch(cs.h0[:rows], vecs),
+                folded.predict(cs.h0[:rows], vecs[0]),
+            )
+        for width in (2, 3):
+            for serial, parted in zip(results[1], results[width]):
+                assert np.array_equal(serial, parted), (op, rows, width)
+
+
+@pytest.mark.parametrize("op", ["gemm", "conv", "bgemm"])
+def test_calibration_margins_do_not_depend_on_width(
+    op, request, force_width
+):
+    tuner = request.getfixturevalue(_OP_TUNERS[op])
+    margins = {}
+    for width in (1, 2):
+        force_width(width)
+        calib = tuner.searcher.calibrate_cascade(
+            (DType.FP32,), n_shapes=2, seed=11
+        )
+        margins[width] = calib.margins
+    assert margins[1] == margins[2]
+
+
+def test_concurrent_tuners_share_the_pool(
+    trained_gemm_tuner, small_bgemm_tuner, force_width, blas_budget
+):
+    """Two tuners batch-searching at once through the shared pool (more
+    scoring threads than CPUs) get exactly their serial answers, and the
+    last call to finish restores the BLAS budget."""
+    jobs = {
+        "gemm": (trained_gemm_tuner, _OP_SHAPES["gemm"]),
+        "bgemm": (small_bgemm_tuner, _OP_SHAPES["bgemm"]),
+    }
+    force_width(1)
+    want = {
+        name: [_tops(t) for t in tuner.top_k_batch(shapes, 25)]
+        for name, (tuner, shapes) in jobs.items()
+    }
+    force_width(2)
+    barrier = threading.Barrier(len(jobs))
+
+    def search(tuner, shapes):
+        barrier.wait(timeout=60)
+        return [
+            [_tops(t) for t in tuner.top_k_batch(shapes, 25)]
+            for _ in range(3)
+        ]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+            futures = {
+                name: pool.submit(search, tuner, shapes)
+                for name, (tuner, shapes) in jobs.items()
+            }
+            got = {name: f.result(timeout=300) for name, f in futures.items()}
+    finally:
+        sys.setswitchinterval(interval)
+    for name, rounds in got.items():
+        assert all(r == want[name] for r in rounds), name
+    assert partition.blas_threads() == blas_budget
+
+
+def test_ranges_are_chunk_aligned_and_cover_every_row(force_width):
+    force_width(3)
+    seen = []
+    lock = threading.Lock()
+
+    def record(lo, hi):
+        with lock:
+            seen.append((lo, hi))
+
+    partition.map_rows(73, 10, record)
+    seen.sort()
+    assert len(seen) == 3
+    assert seen[0][0] == 0 and seen[-1][1] == 73
+    assert all(a[1] == b[0] for a, b in zip(seen, seen[1:]))
+    assert all(lo % 10 == 0 for lo, _ in seen)
+
+
+def test_partition_error_waits_for_every_range(force_width, blas_budget):
+    """The caller sees a range's exception only after the others ended,
+    and the one-thread BLAS cap is lifted."""
+    force_width(3)
+    finished = []
+    lock = threading.Lock()
+
+    def score(lo, hi):
+        if lo == 0:
+            raise RuntimeError("range 0 failed")
+        time.sleep(0.2)
+        with lock:
+            finished.append(lo)
+
+    with pytest.raises(RuntimeError, match="range 0 failed"):
+        partition.map_rows(30, 10, score)
+    assert sorted(finished) == [10, 20]
+    assert partition.blas_threads() == blas_budget
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_builds_its_own_pool(force_width):
+    """A child forked after the pool exists must not wait on the
+    parent's threads, which did not survive the fork."""
+    force_width(2)
+    # Both ranges wait for each other, so the pool has started both of
+    # its threads, which then sit idle: a stale pool in the child would
+    # hand them work and never start new ones.
+    gate = threading.Barrier(2)
+    partition.map_rows(4, 2, lambda lo, hi: gate.wait(timeout=30))
+    pid = os.fork()
+    if pid == 0:  # the child: report through the exit code only
+        code = 1
+        try:
+            out = np.zeros(4)
+
+            def fill(lo, hi):
+                out[lo:hi] = (np.ones((2, 2)) @ np.ones((2, 2)))[0, 0]
+
+            partition.map_rows(4, 1, fill)
+            code = 0 if out.tolist() == [2.0] * 4 else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child hung on the parent's pool")
+        time.sleep(0.05)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+# ----------------------------------------------------------------------
+# Stage 2's gathered re-scoring equals exhaustive scoring, bit for bit
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("op", ["gemm", "conv", "bgemm"])
+def test_gathered_predict_equals_full_predict(op, request):
+    tuner = request.getfixturevalue(_OP_TUNERS[op])
+    search, cs, _, vecs = _scoring_inputs(tuner, _OP_SHAPES[op])
+    full = search._folded.predict(cs.h0, vecs[0])
+    rng = np.random.default_rng(5)
+    n = len(full)
+    for size in (1, 2, 3, 31, 300, _CHUNK_ROWS + 1):
+        for _ in range(3):
+            if size > n:
+                continue
+            rows = np.sort(rng.choice(n, size, replace=False))
+            gathered = search._folded.predict(
+                np.ascontiguousarray(cs.h0[rows]), vecs[0]
+            )
+            assert np.array_equal(gathered, full[rows]), (op, size)
+
+
+def test_cascade_parity_on_the_rounding_shape(trained_gemm_tuner):
+    """The shape whose cascade top-300 once differed from the exhaustive
+    one: stage 2 re-scored a gathered row 1 ulp off."""
+    shape = GemmShape(48, 512, 128, DType.FP32, ta=False, tb=True)
+    search = trained_gemm_tuner.searcher
+    stats = search.cascade_stats
+    try:
+        search.set_cascade(True)
+        served = stats.cascade_queries
+        cascade = trained_gemm_tuner.top_k(shape, 300)
+        cascade_batch = trained_gemm_tuner.top_k_batch([shape], 300)[0]
+        assert stats.cascade_queries == served + 2  # no fallback
+        search.set_cascade(False)
+        exhaustive = trained_gemm_tuner.top_k(shape, 300)
+    finally:
+        search.set_cascade(True)
+    assert _tops(cascade) == _tops(exhaustive)
+    assert _tops(cascade_batch) == _tops(exhaustive)

@@ -79,6 +79,22 @@ def test_ping_reports_live_accounting(pool):
         assert stats["searches"] >= 0
 
 
+def test_workers_cap_blas_to_one_thread(pool_engine, monkeypatch):
+    """Spawned from a parent with no BLAS variables set, every worker
+    still runs one BLAS thread and so scores its rows serially."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    with WorkerPool(pool_engine, 2) as pool:
+        for w in pool.stats():
+            assert w["boot_blas_threads"] == 1
+            assert w["boot_scoring_width"] == 1
+        for w in range(len(pool)):
+            stats = pool.ping(w)
+            assert stats["blas_threads"] == 1
+            assert stats["scoring_width"] == 1
+
+
 def test_routing_is_consistent_and_spreads(pool):
     keys = [f"gemm|{DEVICE}|fp32|{i}" for i in range(200)]
     owners = [pool.route(k) for k in keys]
@@ -124,9 +140,15 @@ def test_flush_matches_inprocess_search_on_every_worker(
 
 def test_kill_mid_flush_respawns_and_replays(pool, trained_gemm_tuner):
     """A worker killed mid-flush answers anyway — late, not wrong."""
-    # A fat batch of fresh shapes so the kill lands mid-search.
+    from repro.service.faults import FaultPlan, FaultSpec
+
     shapes = [_shape(1024, 1024, 992 + 16 * i) for i in range(6)]
     victim = 0
+    # Hold the flush open so the kill lands mid-flush however fast the
+    # worker searches; the respawned worker boots without the plan.
+    pool.arm_faults(victim, FaultPlan(
+        (FaultSpec("worker.flush", action="sleep", delay_s=30.0),), seed=3,
+    ))
     before = pool.stats()[victim]
     future = pool.submit_flush(victim, DEVICE, "gemm", shapes, K, REPS)
     time.sleep(0.2)
