@@ -529,7 +529,8 @@ class AsyncEngine:
 
         # Hits are answered inline and misses via shard reservoirs; the
         # split keeps a cache-dominated workload from reporting the
-        # (huge) search latency as if every caller paid it.
+        # (huge) search latency as if every caller paid it.  The lock
+        # also guards the counters that executor threads bump.
         self._lat_lock = threading.Lock()
         self._hit_latencies: deque[float] = deque(maxlen=4096)
         self._coalesced_latencies: deque[float] = deque(maxlen=4096)
@@ -899,25 +900,21 @@ class AsyncEngine:
         loop = self._loop
         requests = [p.request for p in batch]
         t_flush = loop.time()
+        outcomes = None
         try:
             inject("async.flush")
         except InjectedFault as exc:
             # A chaos fault at the flush site settles the whole batch
             # with a typed error; letting it propagate would kill the
             # shard's worker task and deadlock every later request.
-            for p in batch:
-                self._settle(shard, p, None, exc, t_flush)
-            with shard.lock:
-                shard.batches += 1
-                shard.reasons[reason] += 1
-                shard.sizes[len(batch)] += 1
-            return
-        use_pool = bool(self._n_workers)
+            outcomes = [(None, exc)] * len(batch)
+        use_pool = outcomes is None and bool(self._n_workers)
         if use_pool and not self._breaker.allow():
             # Breaker open: the pool has been failing; route in-process
             # until a half-open probe proves it healthy again.
             use_pool = False
-            self._n_worker_fallbacks += len(batch)
+            with self._lat_lock:
+                self._n_worker_fallbacks += len(batch)
         if use_pool:
             # A live deadline caps how long we wait on worker pipes; the
             # earliest one in the batch governs (plus slack so a reply
@@ -939,48 +936,41 @@ class AsyncEngine:
                 # Pool unusable (e.g. boot failure, now disabled):
                 # serve this batch in-process like workers=0.
                 self._breaker.record_failure()
-                self._n_worker_fallbacks += len(batch)
-            else:
-                for p, (reply, exc) in zip(batch, outcomes):
-                    self._settle(shard, p, reply, exc, t_flush)
-                with shard.lock:
-                    shard.batches += 1
-                    shard.reasons[reason] += 1
-                    shard.sizes[len(batch)] += 1
-                return
-        try:
-            replies = await loop.run_in_executor(
-                self._get_executor(), self._engine.query_many, requests
+                with self._lat_lock:
+                    self._n_worker_fallbacks += len(batch)
+        if outcomes is None:
+            outcomes = await loop.run_in_executor(
+                self._get_executor(), self._answer_inprocess, requests
             )
-        except Exception:
-            # A poisoned batch (one illegal request) must not take its
-            # neighbours down: fall back to per-request resolution —
-            # dispatched concurrently, so recovering a big batch does
-            # not stall the shard for max_batch serial round-trips —
-            # and only the genuinely bad requests fail.
-            self._n_batch_failures += 1
-
-            async def recover(p: _Pending):
-                try:
-                    reply = await loop.run_in_executor(
-                        self._get_executor(), self._engine.query,
-                        p.request,
-                    )
-                except Exception as exc:
-                    return p, None, exc
-                return p, reply, None
-
-            for p, reply, exc in await asyncio.gather(
-                *(recover(p) for p in batch)
-            ):
-                self._settle(shard, p, reply, exc, t_flush)
-        else:
-            for p, reply in zip(batch, replies):
-                self._settle(shard, p, reply, None, t_flush)
+        for p, (reply, exc) in zip(batch, outcomes):
+            self._settle(shard, p, reply, exc, t_flush)
         with shard.lock:
             shard.batches += 1
             shard.reasons[reason] += 1
             shard.sizes[len(batch)] += 1
+
+    def _answer_inprocess(
+        self, requests: Sequence[KernelRequest]
+    ) -> list[tuple[KernelReply | None, BaseException | None]]:
+        """Answer a batch in-process (executor thread): one
+        ``query_many``, then per-request ``query`` only if that raised.
+
+        A poisoned batch (one illegal request) must not take its
+        neighbours down: on the per-request retry only the genuinely bad
+        requests fail, each with its own error.
+        """
+        try:
+            return [(r, None) for r in self._engine.query_many(requests)]
+        except Exception:
+            with self._lat_lock:
+                self._n_batch_failures += 1
+        out: list[tuple[KernelReply | None, BaseException | None]] = []
+        for request in requests:
+            try:
+                out.append((self._engine.query(request), None))
+            except Exception as exc:
+                out.append((None, exc))
+        return out
 
     def _settle(
         self,
@@ -1060,15 +1050,17 @@ class AsyncEngine:
         only true misses ship to workers, and every worker result is
         written back through :meth:`Engine.store_search_result`.  Misses
         stripe across the ring *by request cache key*, so one hot shard
-        spreads over every worker.  Any per-request worker failure —
+        spreads over every worker.  Every per-request worker failure —
         crash after retries, unservable pair, search error — falls back
-        to ``Engine.query`` in-process, which re-raises genuine request
+        in-process, all of them together in one
+        :meth:`_answer_inprocess` batch, which re-raises genuine request
         errors with their real tracebacks.
         """
         pool = self._ensure_pool()
         resolved = [self._engine.resolve(r) for r in requests]
         out: list = [None] * len(requests)
         by_worker: dict[int, list[int]] = {}
+        fallbacks: list[int] = []
         alive = [w for w in range(len(pool)) if pool.alive(w)]
         for i, (req, spec, key) in enumerate(resolved):
             reply = self._engine.probe_cache(req, spec, key)
@@ -1082,8 +1074,7 @@ class AsyncEngine:
                     # Deterministic re-home keeps retries stable.
                     wid = alive[_ring_index(key, len(alive))]
             if wid is None:
-                self._n_worker_fallbacks += 1
-                out[i] = self._inprocess_one(req)
+                fallbacks.append(i)
             else:
                 by_worker.setdefault(wid, []).append(i)
         submitted = []
@@ -1095,7 +1086,8 @@ class AsyncEngine:
                 wid, req0.device, req0.op, shapes, req0.k, req0.reps,
                 timeout_s=timeout_s,
             )))
-            self._n_worker_flushes += 1
+            with self._lat_lock:
+                self._n_worker_flushes += 1
         if not submitted:
             # A half-open probe that never reached the pool proves
             # nothing; re-open so the next flush probes for real.
@@ -1111,8 +1103,7 @@ class AsyncEngine:
             for i, (ok, payload) in zip(idxs, results):
                 req = resolved[i][0]
                 if not ok:
-                    self._n_worker_fallbacks += 1
-                    out[i] = self._inprocess_one(req)
+                    fallbacks.append(i)
                     continue
                 cfg, pred, meas, version = payload
                 best = RankedKernel(
@@ -1126,15 +1117,15 @@ class AsyncEngine:
                     )
                 except Exception as exc:
                     out[i] = (None, exc)
+        if fallbacks:
+            with self._lat_lock:
+                self._n_worker_fallbacks += len(fallbacks)
+            answers = self._answer_inprocess(
+                [resolved[i][0] for i in fallbacks]
+            )
+            for i, outcome in zip(fallbacks, answers):
+                out[i] = outcome
         return out
-
-    def _inprocess_one(
-        self, request: KernelRequest
-    ) -> tuple[KernelReply | None, BaseException | None]:
-        try:
-            return self._engine.query(request), None
-        except Exception as exc:
-            return None, exc
 
     def _get_executor(self) -> ThreadPoolExecutor:
         if self._executor is None:
@@ -1263,7 +1254,7 @@ class AsyncEngine:
                 batch_sizes=sizes,
                 p50_ms=_percentile_ms(lat, 0.50),
                 p95_ms=_percentile_ms(lat, 0.95),
-                max_ms=lat[-1] * 1e3 if lat else float("nan"),
+                max_ms=_percentile_ms(lat, 1.0),
             ))
         with self._lat_lock:
             hits = sorted(self._hit_latencies)

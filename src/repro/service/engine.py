@@ -45,7 +45,7 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -57,7 +57,7 @@ from repro.core.tuner import Isaac, TuneReport
 from repro.core.types import DType
 from repro.gpu.device import DeviceSpec, get_device
 from repro.inference.partition import blas_threads, scoring_width
-from repro.inference.topk import RankedKernel, best_after_rerank, rerank
+from repro.inference.topk import RankedKernel, rerank
 from repro.service.faults import inject
 from repro.service.online import ModelUpdate, OnlineConfig, OnlineLearner
 from repro.workloads.networks import NetworkStep
@@ -236,6 +236,50 @@ def _model_filename(device_name: str, op_name: str) -> str:
     return f"{_device_slug(device_name)}--{op_name}.npz"
 
 
+def _set_cascade(tuner: Isaac, enabled: bool, keep: int | None) -> None:
+    """Apply a front door's cascade policy to one tuner's search."""
+    search = tuner.searcher
+    if search is not None:
+        search.set_cascade(enabled, keep=keep)
+
+
+# ----------------------------------------------------------------------
+# The miss path's search step, shared by every front door
+# ----------------------------------------------------------------------
+
+def _rank_misses(
+    tuner: Isaac,
+    lock: threading.Lock,
+    shapes: Sequence,
+    k: int,
+    reps: int,
+) -> Iterator[list[RankedKernel]]:
+    """Model top-k plus device re-rank for one batch of missed shapes.
+
+    Yields each shape's re-ranked shortlist, best measured first, as
+    soon as its own re-rank ends, so a caller can publish it before the
+    next shape's re-rank.  Its head is what
+    ``Isaac.best_kernel(shape, k=k, reps=reps)`` returns, stamped with
+    the ``model_version`` of the fit that ranked it.  A one-shape batch
+    ranks through ``top_k``, larger ones through one ``top_k_batch``
+    model pass.  ``Engine`` flushes and worker processes both search
+    through here.
+    """
+    with lock:
+        # ExhaustiveSearch mutates per-instance caches: one search per
+        # tuner at a time.  The version is read under the lock the
+        # hot-swap takes, so it names the fit that ranked these lists.
+        if len(shapes) == 1:
+            tops = [tuner.top_k(shapes[0], k)]
+        else:
+            tops = tuner.top_k_batch(list(shapes), k)
+        version = tuner.fit_result.model_version
+    for shape, top in zip(shapes, tops):
+        ranked = rerank(tuner.device, shape, top, op=tuner.spec, reps=reps)
+        ranked[0].model_version = version
+        yield ranked
+
+
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
@@ -386,17 +430,10 @@ class Engine:
                 f"tuner for ({tuner.device.name}, {tuner.op}) is not tuned"
             )
         key = (tuner.device.name, tuner.op)
-        self._configure_cascade(tuner)
+        _set_cascade(tuner, self._cascade_enabled, self._cascade_keep)
         with self._registry_lock:
             self._tuners[key] = tuner
             self._tuner_locks.setdefault(key, threading.Lock())
-
-    def _configure_cascade(self, tuner: Isaac) -> None:
-        """Apply the engine's cascade policy to one tuner's search."""
-        search = tuner.searcher
-        if search is not None:
-            search.set_cascade(self._cascade_enabled,
-                               keep=self._cascade_keep)
 
     def tune(
         self,
@@ -473,7 +510,7 @@ class Engine:
                     f"model for device={device_name!r} op={op_name!r} is "
                     f"unreadable and was quarantined ({exc})"
                 ) from exc
-            self._configure_cascade(tuner)
+            _set_cascade(tuner, self._cascade_enabled, self._cascade_keep)
             with self._registry_lock:
                 self._tuners[key] = tuner
                 self._tuner_locks.setdefault(key, threading.Lock())
@@ -581,6 +618,30 @@ class Engine:
                 best.measured_tflops,
             )
 
+    def _publish(
+        self, request: KernelRequest, spec: OpSpec, key: str,
+        ranked: Sequence[RankedKernel],
+    ) -> KernelReply:
+        """Turn one search's re-ranked list into its answer.
+
+        The winner ``ranked[0]`` is written through both cache levels,
+        every measured pair in ``ranked`` goes to the online learner, and
+        the ``"search"`` reply is built — for in-process searches and
+        worker results alike.
+        """
+        best = ranked[0]
+        with self._cache_lock:
+            self._store_locked(request, spec, key, best)
+        self._observe_rerank(request, spec, ranked)
+        return KernelReply(
+            request=request,
+            config=best.config,
+            predicted_tflops=best.predicted_tflops,
+            measured_tflops=best.measured_tflops,
+            source="search",
+            model_version=best.model_version,
+        )
+
     # ------------------------------------------------------------------
     # Hooks for the asyncio front door (service/async_engine.py)
     # ------------------------------------------------------------------
@@ -610,26 +671,13 @@ class Engine:
     ) -> KernelReply:
         """Publish a search result computed elsewhere (the worker tier).
 
-        Written through both cache levels and counted as a search in
-        :meth:`stats`, exactly as if :meth:`query` had run it; returns
-        the reply to hand to the caller.
+        Published exactly as if :meth:`query` had run the search (the
+        worker tier ships back only its winning pair, so that is all the
+        online learner sees); returns the reply to hand to the caller.
         """
         inject("engine.store")
         request, spec, key = self._resolve(request)
-        with self._cache_lock:
-            self._store_locked(request, spec, key, best)
-        if self._learner is not None and best.source == "reranked":
-            # The worker tier ships only its winning pair back; feed it.
-            tuner = self._tuner(request.device, request.op)
-            self._observe_rerank(tuner, spec, request.shape, [best])
-        return KernelReply(
-            request=request,
-            config=best.config,
-            predicted_tflops=best.predicted_tflops,
-            measured_tflops=best.measured_tflops,
-            source="search",
-            model_version=best.model_version,
-        )
+        return self._publish(request, spec, key, [best])
 
     def export_fits(
         self, pairs: Iterable[tuple[str, str]]
@@ -721,71 +769,18 @@ class Engine:
         )
 
     # ------------------------------------------------------------------
-    # Single query (with in-flight deduplication)
+    # The batching planner (with in-flight deduplication)
     # ------------------------------------------------------------------
     def query(self, request: KernelRequest) -> KernelReply:
         """Answer one request: LRU -> profile cache -> model search.
 
-        Thread-safe.  Concurrent queries for the same (device, op, shape)
-        run exactly one search: the first becomes the leader, the rest
+        The planner of :meth:`query_many` run on one request.
+        Thread-safe: concurrent queries for the same (device, op, shape)
+        run exactly one search — the first becomes the leader, the rest
         wait on its result and read it from the cache.
         """
-        request, spec, key = self._resolve(request)
-        while True:
-            with self._cache_lock:
-                reply = self._cached_reply_locked(request, spec, key)
-                if reply is not None:
-                    return reply
-                event = self._inflight.get(key)
-                if event is None:
-                    self._inflight[key] = threading.Event()
-                    break
-                self._stats.dedup_waits += 1
-            # Another thread is searching this key; wait outside the lock
-            # and re-check — on leader failure the loop elects a new one.
-            event.wait()
-        try:
-            best = self._search_one(request, spec)
-            with self._cache_lock:
-                self._store_locked(request, spec, key, best)
-        finally:
-            with self._cache_lock:
-                event = self._inflight.pop(key)
-            event.set()
-        return KernelReply(
-            request=request,
-            config=best.config,
-            predicted_tflops=best.predicted_tflops,
-            measured_tflops=best.measured_tflops,
-            source="search",
-            model_version=best.model_version,
-        )
+        return self._plan([self._resolve(request)])[0]
 
-    def _search_one(
-        self, request: KernelRequest, spec: OpSpec
-    ) -> RankedKernel:
-        """One model search + device re-rank; identical to
-        ``Isaac.best_kernel(shape, k=k, reps=reps)`` with no cache."""
-        inject("engine.search")
-        tuner = self._tuner(request.device, request.op)
-        with self._tuner_locks[(request.device, request.op)]:
-            # ExhaustiveSearch mutates per-instance caches and reuses
-            # preallocated chunk buffers — one search per tuner at a time.
-            # The model version is read under the same lock the hot-swap
-            # takes, so it always names the fit that ranked this top-k.
-            top = tuner.top_k(request.shape, request.k)
-            version = tuner.fit_result.model_version
-        ranked = rerank(
-            tuner.device, request.shape, top, op=spec, reps=request.reps
-        )
-        best = ranked[0]
-        best.model_version = version
-        self._observe_rerank(tuner, spec, request.shape, ranked)
-        return best
-
-    # ------------------------------------------------------------------
-    # Batched queries
-    # ------------------------------------------------------------------
     def query_many(
         self, requests: Sequence[KernelRequest]
     ) -> list[KernelReply]:
@@ -797,50 +792,58 @@ class Engine:
         concurrently on the engine's thread pool.  Replies align with
         ``requests`` and match per-request :meth:`query` exactly.
         """
-        resolved = [self._resolve(r) for r in requests]
+        return self._plan([self._resolve(r) for r in requests])
+
+    def _plan(
+        self, resolved: list[tuple[KernelRequest, OpSpec, str]]
+    ) -> list[KernelReply]:
+        """The planner behind :meth:`query` and :meth:`query_many`."""
         replies: list[KernelReply | None] = [None] * len(resolved)
-
-        # Pass 1 — serve from the two cache levels, dedupe the misses.
-        owned: dict[str, list[int]] = {}
-        theirs: dict[str, list[int]] = {}
-        with self._cache_lock:
-            for i, (req, spec, key) in enumerate(resolved):
-                if key in owned:
-                    owned[key].append(i)
-                    continue
-                if key in theirs:
-                    theirs[key].append(i)
-                    continue
-                reply = self._cached_reply_locked(req, spec, key)
-                if reply is not None:
-                    replies[i] = reply
-                elif key in self._inflight:
-                    # Another thread is already searching this shape.
-                    self._stats.dedup_waits += 1
-                    theirs[key] = [i]
-                else:
-                    self._inflight[key] = threading.Event()
-                    owned[key] = [i]
-
-        # Pass 2 — group our misses for batched dispatch.
-        groups: dict[tuple, list[str]] = {}
-        for key, idxs in owned.items():
-            req, _spec, _ = resolved[idxs[0]]
-            groups.setdefault(req.group_key(), []).append(key)
-
-        try:
-            self._run_groups(groups, owned, resolved, replies)
-        finally:
+        todo = range(len(resolved))
+        while todo:
+            # Pass 1 — serve from the two cache levels, dedupe the misses.
+            owned: dict[str, list[int]] = {}
+            theirs: dict[str, list[int]] = {}
+            waits: list[threading.Event] = []
             with self._cache_lock:
-                events = [self._inflight.pop(k) for k in owned]
-            for event in events:
-                event.set()
+                for i in todo:
+                    req, spec, key = resolved[i]
+                    if key in owned:
+                        owned[key].append(i)
+                        continue
+                    if key in theirs:
+                        theirs[key].append(i)
+                        continue
+                    reply = self._cached_reply_locked(req, spec, key)
+                    if reply is not None:
+                        replies[i] = reply
+                    elif key in self._inflight:
+                        # Another thread is already searching this shape.
+                        self._stats.dedup_waits += 1
+                        theirs[key] = [i]
+                        waits.append(self._inflight[key])
+                    else:
+                        self._inflight[key] = threading.Event()
+                        owned[key] = [i]
 
-        # Pass 3 — collect shapes other threads were already searching.
-        for key, idxs in theirs.items():
-            reply = self.query(resolved[idxs[0]][0])
-            for i in idxs:
-                replies[i] = self._realign(reply, resolved[i][0])
+            # Pass 2 — group our misses for batched dispatch.
+            groups: dict[tuple, list[str]] = {}
+            for key, idxs in owned.items():
+                req, _spec, _ = resolved[idxs[0]]
+                groups.setdefault(req.group_key(), []).append(key)
+            try:
+                self._run_groups(groups, owned, resolved, replies)
+            finally:
+                with self._cache_lock:
+                    events = [self._inflight.pop(k) for k in owned]
+                for event in events:
+                    event.set()
+
+            # Pass 3 — wait out the other leaders, then plan their shapes
+            # again: answered from the cache, or led by us if one failed.
+            for event in waits:
+                event.wait()
+            todo = [i for idxs in theirs.values() for i in idxs]
         return replies  # type: ignore[return-value]
 
     def _run_groups(
@@ -877,29 +880,18 @@ class Engine:
         """One (device, op, dtype, k, reps) group: batch search + rerank."""
         inject("engine.search")
         (device_name, op_name, _dtype, k, reps), keys = item
-        spec = get_op(op_name)
         tuner = self._tuner(device_name, op_name)
-        shapes = [resolved[owned[key][0]][0].shape for key in keys]
-        with self._tuner_locks[(device_name, op_name)]:
-            tops = tuner.top_k_batch(shapes, k)
-            version = tuner.fit_result.model_version
-        for key, shape, top in zip(keys, shapes, tops):
-            ranked = rerank(tuner.device, shape, top, op=spec, reps=reps)
-            best = ranked[0]
-            best.model_version = version
-            self._observe_rerank(tuner, spec, shape, ranked)
-            leader_req = resolved[owned[key][0]][0]
-            with self._cache_lock:
-                self._store_locked(leader_req, spec, key, best)
+        leaders = [resolved[owned[key][0]] for key in keys]
+        rankeds = _rank_misses(
+            tuner, self._tuner_locks[(device_name, op_name)],
+            [req.shape for req, _spec, _key in leaders], k, reps,
+        )
+        # Each winner is cached as soon as its own re-rank ends, so a
+        # request arriving meanwhile is answered from the LRU.
+        for (req, spec, key), ranked in zip(leaders, rankeds):
+            reply = self._publish(req, spec, key, ranked)
             for i in owned[key]:
-                replies[i] = KernelReply(
-                    request=resolved[i][0],
-                    config=best.config,
-                    predicted_tflops=best.predicted_tflops,
-                    measured_tflops=best.measured_tflops,
-                    source="search",
-                    model_version=version,
-                )
+                replies[i] = self._realign(reply, resolved[i][0])
 
     @staticmethod
     def _realign(reply: KernelReply, request: KernelRequest) -> KernelReply:
@@ -1029,7 +1021,7 @@ class Engine:
         return self._learner
 
     def _observe_rerank(
-        self, tuner: Isaac, spec: OpSpec, shape: Any, ranked: Sequence
+        self, request: KernelRequest, spec: OpSpec, ranked: Sequence
     ) -> None:
         """Feed every measured (config, time) pair of one re-rank into
         the replay buffer.  A no-op on frozen engines; never raises into
@@ -1037,7 +1029,8 @@ class Engine:
         learner = self._learner
         if learner is None:
             return
-        device_name, op_name = tuner.device.name, tuner.op
+        device_name, op_name = request.device, request.op
+        tuner = self._tuner(device_name, op_name)
 
         def make():
             ds = tuner.dataset
@@ -1048,7 +1041,7 @@ class Engine:
         learner.ensure_registered(device_name, op_name, make)
         due = False
         for kernel in ranked:
-            features = spec.encode(kernel.config, shape, log=False)
+            features = spec.encode(kernel.config, request.shape, log=False)
             due |= learner.observe(
                 device_name, op_name, features, kernel.measured_tflops
             )
@@ -1339,7 +1332,6 @@ class WorkerEngine:
         cascade_keep: int | None = None,
     ):
         from repro.core.candidate_store import seed_cache_record
-        from repro.mlp.serialize import fit_from_bytes
 
         self.shared_bytes = int(shared_bytes)
         self.seeded_records = 0
@@ -1359,15 +1351,11 @@ class WorkerEngine:
             ):
                 self.seeded_records += 1
         self._tuners: dict[tuple[str, str], Isaac] = {}
-        for (device_name, op_name), (blob, dtype_names) in fits.items():
-            tuner = Isaac.from_fit(
-                get_device(device_name),
-                op_name,
-                fit_from_bytes(blob),
-                dtypes=tuple(DType[n] for n in dtype_names),
-            )
-            self._apply_cascade_policy(tuner)
-            self._tuners[(device_name, op_name)] = tuner
+        #: the tuner lock :func:`_rank_misses` takes (uncontended: the
+        #: worker serves one RPC at a time).
+        self._lock = threading.Lock()
+        for pair, fit in fits.items():
+            self._build_tuner(pair, fit)
         for item in prescaled:
             tuner = self._tuners.get((item["device"], item["op"]))
             if tuner is None or tuner.searcher is None:
@@ -1385,11 +1373,28 @@ class WorkerEngine:
             )
             self.adopted_cascade += 1
 
-    def _apply_cascade_policy(self, tuner: Isaac) -> None:
-        search = tuner.searcher
-        if search is not None:
-            search.set_cascade(self._cascade_enabled,
-                               keep=self._cascade_keep)
+    def _build_tuner(
+        self, pair: tuple[str, str], fit: tuple[bytes, tuple[str, ...]]
+    ) -> Isaac:
+        """Serve ``pair`` from shipped fit bytes (+ dtype names).
+
+        The fit bytes carry the parent's cascade calibration (or none),
+        so the fresh search arms itself from those margins alone, under
+        the parent's cascade policy: after a hot-swap it never prunes
+        against the old weights' margins.
+        """
+        from repro.mlp.serialize import fit_from_bytes
+
+        (device_name, op_name), (blob, dtype_names) = pair, fit
+        tuner = Isaac.from_fit(
+            get_device(device_name),
+            op_name,
+            fit_from_bytes(blob),
+            dtypes=tuple(DType[n] for n in dtype_names),
+        )
+        _set_cascade(tuner, self._cascade_enabled, self._cascade_keep)
+        self._tuners[pair] = tuner
+        return tuner
 
     def pairs(self) -> tuple[tuple[str, str], ...]:
         """The (device, op) pairs this worker can search."""
@@ -1409,24 +1414,10 @@ class WorkerEngine:
         whole swap is atomic from the parent's point of view.  Returns
         the adopted version per pair.
         """
-        from repro.mlp.serialize import fit_from_bytes
-
         adopted: dict[tuple[str, str], int] = {}
-        for (device_name, op_name), (blob, dtype_names) in fits.items():
-            fit = fit_from_bytes(blob)
-            tuner = Isaac.from_fit(
-                get_device(device_name),
-                op_name,
-                fit,
-                dtypes=tuple(DType[n] for n in dtype_names),
-            )
-            # The shipped fit bytes carry the parent's fresh cascade
-            # calibration (or none): the rebuilt search arms itself from
-            # those margins alone, so a worker can never prune against
-            # the old weights' margins.
-            self._apply_cascade_policy(tuner)
-            self._tuners[(device_name, op_name)] = tuner
-            adopted[(device_name, op_name)] = fit.model_version
+        for pair, fit in fits.items():
+            tuner = self._build_tuner(pair, fit)
+            adopted[pair] = tuner.fit_result.model_version
             self.adopted_fits += 1
         return adopted
 
@@ -1469,49 +1460,34 @@ class WorkerEngine:
         ``payload`` is ``(config, predicted_tflops, measured_tflops,
         model_version)`` on success — the :class:`RankedKernel` fields
         the parent writes back through :meth:`Engine.store_search_result`
-        — or an error string.  A poisoned batch falls back per-shape so
-        one bad request cannot fail its whole flush.
+        — or an error string.  A poisoned batch is searched again one
+        shape at a time, so one bad request cannot fail its whole flush.
         """
         tuner = self._tuners.get((device, op))
         if tuner is None:
             err = f"worker has no tuner for ({device!r}, {op!r})"
             return [(False, err) for _ in shapes]
-        spec = tuner.spec
-        try:
-            tops = tuner.top_k_batch(list(shapes), k)
-        except Exception:
-            tops = None
-        if tops is not None:
-            return [
-                self._rerank_one(tuner, spec, shape, top, reps)
-                for shape, top in zip(shapes, tops)
-            ]
-        out: list[tuple[bool, Any]] = []
-        for shape in shapes:
-            try:
-                top = tuner.top_k(shape, k)
-            except Exception as exc:
-                out.append((False, f"{type(exc).__name__}: {exc}"))
-                continue
-            out.append(self._rerank_one(tuner, spec, shape, top, reps))
-        return out
 
-    def _rerank_one(
-        self, tuner: Isaac, spec: OpSpec, shape: Any, top: list, reps: int
-    ) -> tuple[bool, Any]:
+        def payload(ranked: list[RankedKernel]) -> tuple:
+            best = ranked[0]
+            return (best.config, best.predicted_tflops,
+                    best.measured_tflops, best.model_version)
+
         try:
-            best = best_after_rerank(
-                tuner.device, shape, top, op=spec, reps=reps
-            )
-        except Exception as exc:
-            return (False, f"{type(exc).__name__}: {exc}")
-        self.searches += 1
-        version = (
-            tuner.fit_result.model_version
-            if tuner.fit_result is not None else 0
-        )
-        return (
-            True,
-            (best.config, best.predicted_tflops, best.measured_tflops,
-             version),
-        )
+            out = [
+                (True, payload(ranked))
+                for ranked in _rank_misses(tuner, self._lock, shapes, k, reps)
+            ]
+        except Exception:
+            out = []
+            for shape in shapes:
+                try:
+                    [ranked] = _rank_misses(
+                        tuner, self._lock, [shape], k, reps
+                    )
+                except Exception as exc:
+                    out.append((False, f"{type(exc).__name__}: {exc}"))
+                else:
+                    out.append((True, payload(ranked)))
+        self.searches += sum(ok for ok, _ in out)
+        return out

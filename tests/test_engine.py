@@ -141,6 +141,46 @@ class TestStatsContract:
         )
         assert empty_shard.mean_batch == 0.0
 
+    def test_unsettled_shard_reports_zero_not_nan(self, trained_gemm_tuner,
+                                                  monkeypatch):
+        """While a shard's first flush runs, no request has settled:
+        its max latency reads 0.0 like its percentiles, never NaN."""
+        import asyncio
+
+        from repro.service.async_engine import AsyncEngine
+
+        inner = _engine(trained_gemm_tuner)
+        entered, gate = threading.Event(), threading.Event()
+        orig = inner.query_many
+
+        def gated_query_many(requests):
+            entered.set()
+            gate.wait(30)
+            return orig(requests)
+
+        monkeypatch.setattr(inner, "query_many", gated_query_many)
+        engine = AsyncEngine(inner, own_engine=True, window_ms=0.0)
+
+        async def main():
+            task = asyncio.ensure_future(engine.query(
+                KernelRequest("gemm", GEMM_SHAPES[0], k=10, reps=2)
+            ))
+            deadline = time.monotonic() + 30
+            while not entered.is_set() and time.monotonic() < deadline:
+                await asyncio.sleep(0.001)
+            stats = engine.stats()
+            gate.set()
+            await task
+            await engine.aclose()
+            return stats
+
+        stats = asyncio.run(main())
+        [shard] = stats.shards
+        assert shard.submitted == 1
+        assert (shard.p50_ms, shard.p95_ms, shard.max_ms,
+                shard.mean_batch) == (0.0, 0.0, 0.0, 0.0)
+        assert "nan" not in stats.describe()
+
     def test_ratios_partition_after_traffic(self, trained_gemm_tuner):
         engine = _engine(trained_gemm_tuner)
         req = KernelRequest("gemm", GEMM_SHAPES[0], k=10, reps=2)
