@@ -12,21 +12,27 @@ Two kinds of record round-trip:
 
 * ``enum`` — a full (op, device, dtype, space) enumeration from
   :func:`repro.inference.search.legal_configs`;
-* ``conv-bucket`` — a per-pow2-bucket CONV candidate set from
-  :func:`repro.inference.conv_search.conv_candidates_batch`.
+* ``conv-bucket`` — a CONV candidate set, one per distinct tile
+  factorization, from
+  :func:`repro.inference.conv_search.conv_candidates_batch`.  A record
+  saved under the older, finer key (one per pow2 extent pair) loads
+  under its canonical key; a second such record for the same key is
+  skipped.
 
 ``load()`` seeds the in-process caches with params-only records (config
 objects stay lazy until first use), so a warmed directory makes cold
 start perform **zero** product-space enumeration.  ``save()`` writes any
-cache entry not yet on disk; records are immutable, so existing files are
-never rewritten.  The :class:`~repro.service.engine.Engine` loads the
-store on construction and saves it on ``warmup()`` / ``close()``.
+cache entry not yet on disk and rewrites a stale file; records are
+immutable, so a file that holds its record is never rewritten.  The
+:class:`~repro.service.engine.Engine` loads the store on construction
+and saves it on ``warmup()`` / ``close()``.
 
 Staleness is guarded three ways: files from another store ``_VERSION``
-are ignored, records whose columns no longer cover the op's config
-schema are skipped at load, and every record carries the space value
-sets it was enumerated from — the caches re-enumerate on mismatch
-rather than serving a pre-edit candidate set.
+are ignored (and rewritten by the next ``save()``), records whose
+columns no longer cover the op's config schema are skipped at load, and
+every record carries the space value sets it was enumerated from — the
+caches re-enumerate on mismatch rather than serving a pre-edit
+candidate set, and the next ``save()`` replaces the pre-edit file.
 
 The candidate caches are process-global (they are keyed by device /
 dtype / space, not by engine), so ``save()`` persists everything the
@@ -263,13 +269,48 @@ class CandidateStore:
             )
         return seeded
 
+    @staticmethod
+    def _holds(
+        path: Path,
+        key: tuple,
+        space_params: tuple | None,
+        columns: Mapping[str, np.ndarray],
+    ) -> bool:
+        """Whether the file at ``path`` is this record as load() reads it.
+
+        Only the archive's member list and its small ``__meta__`` member
+        are read.  A file of another store version, key, space or column
+        set, or one that cannot be read, is stale.
+        """
+        try:
+            with np.load(path, allow_pickle=False) as z:
+                meta = json.loads(str(z["__meta__"]))
+                names = set(z.files) - {"__meta__"}
+        except (OSError, ValueError, KeyError, zipfile.BadZipFile):
+            return False
+        return (
+            meta.get("version") == _VERSION
+            and meta.get("key") == list(key)
+            and _decode_space(meta.get("space")) == space_params
+            and names == set(columns)
+        )
+
     def save(self) -> int:
-        """Persist every in-memory candidate set not yet on disk."""
+        """Persist every in-memory candidate set not yet on disk.
+
+        A file already holding the record is kept.  A stale one (another
+        store version, or enumerated before a value edit to a same-named
+        space) is rewritten atomically, or every later process would
+        skip it and enumerate again.  Its old digest sidecar goes first,
+        so a concurrent load() never pairs it with the new bytes.
+        """
         written = 0
         for kind, key, op, space_params, params in collect_cache_records():
             path = self._dir / self._filename(kind, key)
             if path.exists():
-                continue
+                if self._holds(path, key, space_params, params):
+                    continue
+                integrity.digest_path(path).unlink(missing_ok=True)
             self._dir.mkdir(parents=True, exist_ok=True)
             self._write(path, kind, key, op, params, space_params)
             written += 1

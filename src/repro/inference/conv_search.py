@@ -19,12 +19,14 @@ Python loop over the GEMM tile set, one projection / dedup / legality
 check at a time.  :func:`conv_candidates_batch` is the hot path: it runs
 the same factorization as array arithmetic over the cached GEMM survivor
 *columns*, dedups via one packed-exponent ``np.unique``, applies
-``conv_legal_mask`` once, and caches the result per *pow2 bucket* — the
-factorization reads the query shape only through ``next_pow2(n)`` and
-``next_pow2(q)`` (and legality through the dtype), so every shape in a
-bucket shares one candidate set and repeated buckets skip generation
-entirely.  Both paths produce bit-identical (configs, matrix) results in
-identical order.
+``conv_legal_mask`` once, and caches the result per *canonical bucket*.
+The factorization reads the batch only as ``min(next_pow2(n), ml)`` and
+the width only as ``min(next_pow2(q), ml // nb)`` (legality reads only
+the dtype), so :func:`conv_bucket_key` clamps both extents to what the
+largest block tile can tell apart: every shape with the same tile
+factorization shares one candidate set, at most 45 per (device, dtype).
+Both paths produce bit-identical (configs, matrix) results in identical
+order.
 """
 
 from __future__ import annotations
@@ -141,7 +143,7 @@ def conv_candidates(
 # ----------------------------------------------------------------------
 
 #: Generated CONV candidate sets, shared by every search over the same
-#: bucket (device, dtype, next_pow2(n), next_pow2(q)).
+#: bucket (device, dtype, canonical batch and width extents).
 _BUCKET_CACHE = KeyedRecordCache()
 
 
@@ -155,22 +157,39 @@ def _bucket_space_params() -> tuple:
     return GEMM_SPACE.params + CONV_SPACE.params
 
 
+def _canonical_extents(n: int, q: int) -> tuple[int, int]:
+    """The batch and width extents :func:`factorize_tile` can tell apart.
+
+    With ``L`` the largest GEMM block tile ``ml``, the factorization of
+    any tile ``ml <= L`` reads ``nb = min(next_pow2(n), ml)``, which
+    equals ``min(n', ml)`` for ``n' = min(next_pow2(n), L)``, then
+    ``qb = min(next_pow2(q), ml // nb)``.  ``ml // nb`` is ``ml // n'``
+    when ``ml >= n'`` and 1 otherwise, at most ``L // n'`` either way,
+    so clamping the width to ``q' = min(next_pow2(q), L // n')`` leaves
+    every ``qb`` as it was.  (n', q') decides the whole factorization.
+    """
+    top = max(GEMM_SPACE.values("ml"))
+    n_c = min(_next_pow2(n), top)
+    return n_c, min(_next_pow2(q), top // n_c)
+
+
 def conv_bucket_key(
     device: DeviceSpec, shape: ConvShape
 ) -> tuple[str, str, str, int, int]:
     """The cache bucket one CONV query shape falls into.
 
-    The tile factorization reads the shape only through ``next_pow2(n)``
-    and ``next_pow2(q)`` (``pb`` takes whatever block budget remains, so
-    ``p`` never enters), and CONV legality only through the dtype — so
-    every shape agreeing on these shares one candidate set.
+    The tile factorization reads the shape only through its canonical
+    batch and width extents (:func:`_canonical_extents`; ``pb`` takes
+    whatever block budget remains, so ``p`` never enters), and CONV
+    legality only through the dtype — so every shape agreeing on these
+    shares one candidate set.  With ``L = 256`` there are 45 extent
+    pairs, so at most 45 sets per (device, dtype).
     """
     return (
         "conv",
         device.name,
         shape.dtype.name,
-        _next_pow2(shape.n),
-        _next_pow2(shape.q),
+        *_canonical_extents(shape.n, shape.q),
     )
 
 
@@ -257,9 +276,9 @@ def conv_candidates_batch(
 
     Bit-identical to ``conv_candidates`` followed by the op's
     ``config_matrix`` (same candidates, same order, same float64 bits),
-    but generated as array arithmetic and shared by every shape in the
-    same pow2 bucket.  Thread-safe: concurrent queries generate each
-    bucket once.
+    but generated as array arithmetic and shared by every shape with the
+    same :func:`conv_bucket_key`.  Thread-safe: concurrent queries
+    generate each bucket once.
     """
     key = conv_bucket_key(device, shape)
     rec = _BUCKET_CACHE.get(
@@ -282,9 +301,15 @@ def seed_bucket_record(
     params: Mapping[str, np.ndarray],
     space_params: tuple | None = None,
 ) -> bool:
-    """Publish a stored bucket (candidate-store load); True if kept."""
+    """Publish a stored bucket (candidate-store load); True if kept.
+
+    A record saved under an older, finer key (one per pow2 extent pair)
+    is seeded under its canonical key, which is the only key searches
+    look up; when that key is already held, the duplicate is dropped.
+    """
+    op, device, dtype, n, q = key
     return _BUCKET_CACHE.seed(
-        tuple(key),
+        (op, device, dtype, *_canonical_extents(n, q)),
         CandidateRecord(
             op="conv", params=dict(params), space_params=space_params
         ),

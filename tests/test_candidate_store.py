@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import repro.core.candidate_store as candidate_store
 import repro.inference.conv_search as conv_search
 import repro.inference.search as search
+from repro.core import integrity
 from repro.core.candidate_store import CandidateStore
 from repro.core.space import ParamSpace
 from repro.core.types import ConvShape, DType, GemmShape
@@ -69,6 +71,64 @@ class TestCandidateStore:
         assert store.save() == 1
         assert store.save() == 0  # records are immutable, files kept
         assert len(store) == 1
+
+    def test_save_rewrites_a_file_of_another_version(
+        self, tiny_space, tmp_path, monkeypatch
+    ):
+        """A file load() skips as stale is rewritten by the next save(),
+        digest sidecar included, so a later process loads it instead of
+        enumerating again."""
+        search.legal_configs(GTX_980_TI, DType.FP32, "gemm", tiny_space)
+        store = CandidateStore(tmp_path / "candidates")
+        assert store.save() == 1
+        monkeypatch.setattr(
+            candidate_store, "_VERSION", candidate_store._VERSION + 1
+        )
+        search.clear_cache()
+        assert store.load() == 0  # another store version: skipped
+        configs, matrix = search.legal_configs(
+            GTX_980_TI, DType.FP32, "gemm", tiny_space
+        )
+        assert store.save() == 1
+        assert store.save() == 0
+        assert len(store) == 1
+        assert integrity.check(store.files()[0]) is True
+        search.clear_cache()
+        assert store.load() == 1
+        _forbid_enumeration(monkeypatch)
+        loaded, loaded_matrix = search.legal_configs(
+            GTX_980_TI, DType.FP32, "gemm", tiny_space
+        )
+        assert loaded == configs
+        assert np.array_equal(loaded_matrix, matrix)
+
+    def test_save_rewrites_a_file_from_before_a_space_edit(
+        self, tiny_space, tmp_path, monkeypatch
+    ):
+        """Same space name, edited value sets: the set re-enumerates once,
+        and the next save() replaces the pre-edit file."""
+        from dataclasses import replace
+
+        search.legal_configs(GTX_980_TI, DType.FP32, "gemm", tiny_space)
+        store = CandidateStore(tmp_path / "candidates")
+        store.save()
+        edited = replace(
+            tiny_space,
+            params=tuple(
+                (n, v if n != "u" else (8,)) for n, v in tiny_space.params
+            ),
+        )
+        search.clear_cache()
+        store.load()
+        fresh, _ = search.legal_configs(GTX_980_TI, DType.FP32, "gemm",
+                                        edited)
+        assert store.save() == 1
+        search.clear_cache()
+        assert store.load() == 1
+        _forbid_enumeration(monkeypatch)
+        again, _ = search.legal_configs(GTX_980_TI, DType.FP32, "gemm",
+                                        edited)
+        assert again == fresh
 
     def test_seed_does_not_clobber_cached_records(self, tiny_space,
                                                   tmp_path):

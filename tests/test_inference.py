@@ -284,6 +284,79 @@ class TestConvBuckets:
             GTX_980_TI, a
         )
 
+    def test_canonical_key_keeps_every_factorization(self):
+        """For every GEMM tile (ml, ms) and every pow2 batch and width up
+        to 4096, a shape factorizes exactly as the canonical
+        representative of its key does; the keys reached are the
+        (n', q') pairs with n' <= L and q' <= L // n', L the largest ml."""
+        from repro.core.space import GEMM_SPACE
+
+        def conv(n, q):
+            return ConvShape.from_output(n=n, p=7, q=q, k=64, c=64, r=3, s=3)
+
+        extents = [1 << e for e in range(13)]
+        top = max(GEMM_SPACE.values("ml"))
+        reached = set()
+        for n in extents:
+            for q in extents:
+                shape = conv(n, q)
+                *_, n_c, q_c = conv_bucket_key(GTX_980_TI, shape)
+                reached.add((n_c, q_c))
+                canon = conv(n_c, q_c)
+                for ml in GEMM_SPACE.values("ml"):
+                    for ms in GEMM_SPACE.values("ms"):
+                        assert factorize_tile(ml, ms, shape) == (
+                            factorize_tile(ml, ms, canon)
+                        ), (n, q, ml, ms)
+        assert reached == {
+            (a, b) for a in extents if a <= top
+            for b in extents if b <= top // a
+        }
+        assert len(reached) == 45
+
+    def test_one_factorization_one_record(self):
+        """n=32 leaves room for a width of 256 // 32 = 8 at most, so
+        q=8 and q=128 share one record, equal to the scalar reference."""
+        from repro.inference.conv_search import clear_bucket_cache
+        from repro.sampling.features import conv_config_matrix
+
+        narrow = ConvShape.from_output(n=32, p=14, q=8, k=64, c=128, r=3, s=3)
+        wide = ConvShape.from_output(n=32, p=14, q=128, k=64, c=128, r=3, s=3)
+        clear_bucket_cache()
+        first, first_mat = conv_candidates_batch(GTX_980_TI, narrow)
+        second, second_mat = conv_candidates_batch(GTX_980_TI, wide)
+        assert second is first and second_mat is first_mat
+        scalar = conv_candidates(GTX_980_TI, wide)
+        assert first == scalar
+        assert np.array_equal(first_mat, conv_config_matrix(scalar, log=True))
+
+    def test_store_seeds_pre_change_key_under_canonical_key(self, tmp_path):
+        """Records saved under the finer pow2 keys load under the
+        canonical key; the second one for the same key is a duplicate."""
+        from repro.core.candidate_store import CandidateStore
+        from repro.inference.conv_search import (
+            bucket_cache_snapshot,
+            clear_bucket_cache,
+        )
+
+        shape = ConvShape.from_output(n=32, p=14, q=128, k=64, c=128, r=3, s=3)
+        cfgs, matrix = conv_candidates_batch(GTX_980_TI, shape)
+        key = conv_bucket_key(GTX_980_TI, shape)
+        assert key[3:] == (32, 8)
+        rec = bucket_cache_snapshot()[key]
+        store = CandidateStore(tmp_path)
+        for old in (key[:3] + (32, 128), key[:3] + (32, 64)):
+            store._write(
+                tmp_path / store._filename("conv-bucket", old),
+                "conv-bucket", old, "conv", rec.params, rec.space_params,
+            )
+        clear_bucket_cache()
+        assert store.load() == 1
+        assert set(bucket_cache_snapshot()) == {key}
+        loaded, loaded_matrix = conv_candidates_batch(GTX_980_TI, shape)
+        assert loaded == cfgs
+        assert np.array_equal(loaded_matrix, matrix)
+
     def test_same_bucket_shares_candidate_set(self):
         same = ConvShape.from_output(n=3, p=20, q=13, k=32, c=64, r=3, s=3)
         first, _ = conv_candidates_batch(GTX_980_TI, self.SHAPE)

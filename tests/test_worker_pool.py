@@ -19,6 +19,7 @@ import time
 
 import pytest
 
+from repro.core.tuner import Isaac
 from repro.core.types import DType, GemmShape
 from repro.gpu.device import TESLA_P100
 from repro.service.async_engine import AsyncEngine
@@ -38,7 +39,13 @@ def _shape(m: int, n: int, k: int, ta=False, tb=True) -> GemmShape:
 @pytest.fixture(scope="module")
 def pool_engine(trained_gemm_tuner):
     engine = Engine(max_workers=0)
-    engine.register(trained_gemm_tuner)
+    # A fresh search over the session fit: its warm query below fills
+    # the process-wide candidate caches itself, even when an earlier
+    # module cleared them after the session tuner's search took its set.
+    engine.register(Isaac.from_fit(
+        TESLA_P100, "gemm", trained_gemm_tuner.fit_result,
+        dtypes=trained_gemm_tuner.dtypes,
+    ))
     # One warm query so the export has hot state to share: enumerated
     # candidate records and a prescaled H0 snapshot.
     engine.query(KernelRequest("gemm", _shape(64, 64, 64), k=K, reps=REPS))
