@@ -9,20 +9,25 @@ shape-feature vector and runs the remaining layers chunk-wise;
 cache-resident chunk.
 
 On top of the pre-scaled path sits the two-stage cascade: stage 1 scores
-every candidate with the same model in float32, prunes to a margin-padded
-shortlist, and stage 2 re-scores only the shortlist in float64.  The
-cascade axis here calibrates margins on the bench fit, asserts the
-shortlist top-k is *identical* to the exhaustive top-k for every query
-shape, and then times it — the honest ceiling for a provably-safe f32
-stage 1 is the f64->f32 memory-traffic ratio, about 2.2x.
+every candidate with the same model in float32, one elementwise pass per
+layer, prunes to a margin-padded shortlist, and stage 2 re-scores only
+the shortlist in float64.  The cascade axis here calibrates margins on
+the bench fit, asserts the shortlist top-k is *identical* to the
+exhaustive top-k for every query shape, and then times it.  On a 2-CPU
+host (Xeon, numpy 2.4.6's OpenBLAS) five runs per mode read 2.28-3.21x
+(full) and 2.21-2.81x (smoke) against the exhaustive top_k: 20-29 ms
+against 55-69 ms per query.  The add-then-clamp stage 1 it replaced (two
+elementwise passes per layer) read 2.24-2.70x in three full runs there
+and under 2.0x in a fourth.
 
 This bench times all paths over the full GEMM candidate set and asserts
 the pre-scaled path is at least 2x faster per repeated query and the
-cascade at least 2x faster again (REPRO_BENCH_SMOKE=1 relaxes the floors
-to 1.5x / 1.3x for noisy CI runners).  Model quality is irrelevant to
-latency, so the fit is trained at a tiny budget.  With ``--json`` the
-numbers land in ``BENCH_search_latency.json`` (repo root and
-benchmarks/results/) for cross-PR trend tracking.
+cascade at least 2x faster again (REPRO_BENCH_SMOKE=1 sets the floors to
+1.5x / 1.75x for CI runners, which are not the host the floors were
+measured on).  Model quality is irrelevant to latency, so the fit is
+trained at a tiny budget.  With ``--json`` the numbers land in
+``BENCH_search_latency.json`` (repo root and benchmarks/results/) for
+cross-PR trend tracking.
 """
 
 import os
@@ -38,7 +43,9 @@ from repro.sampling.dataset import fit_generative_models, generate_dataset
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 SPEEDUP_FLOOR = 1.5 if SMOKE else 2.0
-CASCADE_FLOOR = 1.3 if SMOKE else 2.0
+#: At most 80% of the lowest of five runs per mode on the measuring
+#: host; the smoke floor stays at or below 2.0 for other hosts.
+CASCADE_FLOOR = 1.75 if SMOKE else 2.0
 
 QUERY_SHAPES = [
     GemmShape(2048, 2048, 2048, DType.FP32, False, True),

@@ -16,8 +16,10 @@ Two kinds of record round-trip:
   factorization, from
   :func:`repro.inference.conv_search.conv_candidates_batch`.  A record
   saved under the older, finer key (one per pow2 extent pair) loads
-  under its canonical key; a second such record for the same key is
-  skipped.
+  under its canonical key.  ``load()`` reads files under a canonical
+  key first and skips a superseded one whose record is already held,
+  without hashing it; ``save()`` unlinks a superseded file once the
+  canonical file holds its record.
 
 ``load()`` seeds the in-process caches with params-only records (config
 objects stay lazy until first use), so a warmed directory makes cold
@@ -28,7 +30,8 @@ immutable, so a file that holds its record is never rewritten.  The
 and saves it on ``warmup()`` / ``close()``.
 
 Staleness is guarded three ways: files from another store ``_VERSION``
-are ignored (and rewritten by the next ``save()``), records whose
+are ignored before they are hashed or their columns read (and
+rewritten by the next ``save()``), records whose
 columns no longer cover the op's config schema are skipped at load, and
 every record carries the space value sets it was enumerated from — the
 caches re-enumerate on mismatch rather than serving a pre-edit
@@ -49,7 +52,7 @@ import re
 import tempfile
 import zipfile
 from pathlib import Path
-from typing import Hashable, Mapping
+from typing import Hashable, Iterable, Mapping
 
 import numpy as np
 
@@ -130,6 +133,20 @@ def collect_cache_records() -> list[tuple[str, tuple, str, tuple | None,
             )
         out.append((kind, tuple(key), rec.op, rec.space_params, params))
     return out
+
+
+def _superseding_key(meta: Mapping) -> tuple | None:
+    """The canonical key of a conv file stored under an older, finer key.
+
+    None for any other file: an enum record, or a conv record already
+    under its canonical key.
+    """
+    from repro.inference.conv_search import canonical_bucket_key
+
+    if meta.get("kind") != _KIND_CONV:
+        return None
+    canon = canonical_bucket_key(meta["key"])
+    return None if canon == tuple(meta["key"]) else canon
 
 
 def seed_cache_record(
@@ -220,17 +237,49 @@ class CandidateStore:
             raise
 
     # ------------------------------------------------------------------
+    @staticmethod
+    def _peek(path: Path) -> tuple[dict, set[str]] | None:
+        """A file's ``__meta__`` and column names, or None if unreadable.
+
+        Only the archive's member list and its small ``__meta__`` member
+        are read, never a column.
+        """
+        try:
+            with np.load(path, allow_pickle=False) as z:
+                return (json.loads(str(z["__meta__"])),
+                        set(z.files) - {"__meta__"})
+        except (OSError, ValueError, KeyError, zipfile.BadZipFile):
+            return None
+
     def load(self) -> int:
         """Seed the in-process candidate caches from disk.
 
         Returns the number of records seeded (keys already cached in
-        memory keep their entry).  A file that fails its digest check or
-        cannot be parsed is quarantined (``*.corrupt-<digest8>``) — the
-        corresponding set simply re-enumerates and is re-saved later.
+        memory keep their entry).  Each file's ``__meta__`` is read
+        first: a file of another store version, or one under a
+        superseded conv key whose record is already held, is skipped
+        before it is hashed or its columns read.  A file that fails its
+        digest check or cannot be parsed is quarantined
+        (``*.corrupt-<digest8>``) — the corresponding set simply
+        re-enumerates and is re-saved later.
         """
-        seeded = 0
+        from repro.inference.conv_search import bucket_cache_snapshot
+
+        entries = []
         for path in self.files():
             _inject("candidate_store.load", path)
+            peek = self._peek(path)
+            if peek is not None and peek[0].get("version") != _VERSION:
+                continue
+            canon = None if peek is None else _superseding_key(peek[0])
+            entries.append((path, canon))
+        # Files under a canonical key go first, so a superseded file of
+        # the same record finds it held and costs no hashing.
+        entries.sort(key=lambda e: e[1] is not None)
+        seeded = 0
+        for path, canon in entries:
+            if canon is not None and canon in bucket_cache_snapshot():
+                continue
             if integrity.check(path) is False:
                 import warnings
 
@@ -258,8 +307,6 @@ class CandidateStore:
                     stacklevel=2,
                 )
                 continue
-            if meta.get("version") != _VERSION:
-                continue
             seeded += seed_cache_record(
                 meta.get("kind", _KIND_ENUM),
                 tuple(meta["key"]),
@@ -269,25 +316,23 @@ class CandidateStore:
             )
         return seeded
 
-    @staticmethod
+    @classmethod
     def _holds(
+        cls,
         path: Path,
         key: tuple,
         space_params: tuple | None,
-        columns: Mapping[str, np.ndarray],
+        columns: Iterable[str],
     ) -> bool:
         """Whether the file at ``path`` is this record as load() reads it.
 
-        Only the archive's member list and its small ``__meta__`` member
-        are read.  A file of another store version, key, space or column
-        set, or one that cannot be read, is stale.
+        A file of another store version, key, space or column set, or
+        one that cannot be read, is stale.
         """
-        try:
-            with np.load(path, allow_pickle=False) as z:
-                meta = json.loads(str(z["__meta__"]))
-                names = set(z.files) - {"__meta__"}
-        except (OSError, ValueError, KeyError, zipfile.BadZipFile):
+        peek = cls._peek(path)
+        if peek is None:
             return False
+        meta, names = peek
         return (
             meta.get("version") == _VERSION
             and meta.get("key") == list(key)
@@ -302,7 +347,9 @@ class CandidateStore:
         store version, or enumerated before a value edit to a same-named
         space) is rewritten atomically, or every later process would
         skip it and enumerate again.  Its old digest sidecar goes first,
-        so a concurrent load() never pairs it with the new bytes.
+        so a concurrent load() never pairs it with the new bytes.  A
+        conv file under a superseded key is unlinked, sidecar included,
+        once the file under its canonical key holds a current record.
         """
         written = 0
         for kind, key, op, space_params, params in collect_cache_records():
@@ -314,4 +361,13 @@ class CandidateStore:
             self._dir.mkdir(parents=True, exist_ok=True)
             self._write(path, kind, key, op, params, space_params)
             written += 1
+        for path in self.files():
+            peek = self._peek(path)
+            canon = None if peek is None else _superseding_key(peek[0])
+            if canon is not None and self._holds(
+                self._dir / self._filename(_KIND_CONV, canon), canon,
+                _decode_space(peek[0].get("space")), peek[1],
+            ):
+                integrity.digest_path(path).unlink(missing_ok=True)
+                path.unlink(missing_ok=True)
         return written

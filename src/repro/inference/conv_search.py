@@ -31,7 +31,7 @@ order.
 
 from __future__ import annotations
 
-from typing import Hashable, Mapping
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -296,6 +296,17 @@ def conv_candidates_batch(
     return rec.configs, rec.matrix
 
 
+def canonical_bucket_key(key: Sequence) -> tuple[str, str, str, int, int]:
+    """The key a stored bucket record is cached and looked up under.
+
+    A record saved under an older, finer key (one per pow2 extent pair)
+    maps to the key of its tile factorization; a canonical key maps to
+    itself.
+    """
+    op, device, dtype, n, q = key
+    return (op, device, dtype, *_canonical_extents(n, q))
+
+
 def seed_bucket_record(
     key: Hashable,
     params: Mapping[str, np.ndarray],
@@ -303,13 +314,12 @@ def seed_bucket_record(
 ) -> bool:
     """Publish a stored bucket (candidate-store load); True if kept.
 
-    A record saved under an older, finer key (one per pow2 extent pair)
-    is seeded under its canonical key, which is the only key searches
-    look up; when that key is already held, the duplicate is dropped.
+    The record is seeded under its canonical key, which is the only key
+    searches look up; when that key is already held, the duplicate is
+    dropped.
     """
-    op, device, dtype, n, q = key
     return _BUCKET_CACHE.seed(
-        (op, device, dtype, *_canonical_extents(n, q)),
+        canonical_bucket_key(key),
         CandidateRecord(
             op="conv", params=dict(params), space_params=space_params
         ),

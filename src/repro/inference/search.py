@@ -39,7 +39,11 @@ Cold queries additionally run a **two-stage cascade**: stage 1 scores all
 candidates with the full model evaluated in float32 over a low-precision
 twin of ``H0``, keeps the ``cascade_keep`` best plus every candidate within
 ``2*delta`` of that threshold, and stage 2 re-scores only that shortlist
-in full float64 precision.  ``delta`` is a per-dtype margin calibrated
+in full float64 precision.  Stage 1 makes one elementwise pass per layer:
+with ReLU hidden layers, ``relu(x + c) = max(x, -c) + c`` turns each
+layer's shape term or bias into a per-shape threshold ``-c`` and carries
+``+c`` into the next layer, down to one constant added to the output
+(:class:`_Cascade`).  ``delta`` is a per-dtype margin calibrated
 offline (:meth:`ExhaustiveSearch.calibrate_cascade`, persisted with the
 fit) bounding ``|full - proxy|``; because the proxy is the same network
 at reduced precision, ``delta`` is rounding-sized (~1e-6 standardized
@@ -55,9 +59,9 @@ certified interval bounds — were measured and rejected: their score
 error is orders of magnitude above the ~0.01-unit gap between the top-k
 frontier and the candidate bulk, so no margin both sound and useful
 exists for them.)  Whenever the bound cannot be trusted — no
-calibration, weights changed since calibration, shortlist blown wide, or
-an observed gap above ``delta`` — the query transparently falls back to
-exhaustive scoring.
+calibration, weights or stage-1 form changed since calibration, a layer
+stage 1 cannot threshold, shortlist blown wide, or an observed gap above
+``delta`` — the query transparently falls back to exhaustive scoring.
 """
 
 from __future__ import annotations
@@ -398,7 +402,7 @@ def clear_cache() -> None:
 
 def _score_chunks(
     h0: np.ndarray,
-    hs: Sequence[np.ndarray],
+    hs: Sequence,
     out: np.ndarray,
     chunk_rows: int,
     widths: Sequence[int],
@@ -406,7 +410,9 @@ def _score_chunks(
 ) -> None:
     """``out[b, rows] = score_chunk(h0[rows], hs[b])`` for every chunk.
 
-    Chunks start at multiples of ``chunk_rows``; each row range of
+    ``hs[b]`` is what the scorer precomputed for shape ``b`` (the shape
+    term, or stage 1's thresholds).  Chunks start at multiples of
+    ``chunk_rows``; each row range of
     :func:`~repro.inference.partition.map_rows` owns one scratch buffer
     per layer width (two rows at least, for the one-row pad) and scores
     its chunks for every shape while they are cache-resident.
@@ -592,20 +598,38 @@ class CascadeStats:
 
 
 class _Cascade:
-    """Stage-1 scorer: the full network evaluated in float32.
+    """Stage-1 scorer: the full network in float32, one ``max`` per layer.
 
-    Runs every layer of the folded model in float32 over the cached
-    float32 twin of ``H0``, chunk-wise through scratch buffers (the
-    float64 hot path's structure, at half the memory traffic and roughly
-    twice the sgemm throughput).  The proxy is therefore the same
-    function as the exhaustive scorer up to float32 rounding, so the
-    calibrated per-dtype margin ``delta`` is rounding-sized (~1e-6
-    standardized units) — small against the ~0.01-unit spread of scores
+    Every hidden layer is ReLU and the output layer is identity, so the
+    identity ``relu(x + c) = max(x, -c) + c`` carries each layer's
+    additive constant into the next layer instead of adding it to every
+    row.  Per query shape, the constants are computed once in float64
+    from the weights the float32 copies were cast from::
+
+        c_1 = h (the shape term),   c_{l+1} = c_l W_{l+1} + b_{l+1},
+        c_out = c_L w_out + b_out
+
+    and ``-c_l`` and ``c_out`` are cast to float32 once.  Each chunk of
+    the float32 twin of ``H0`` is then scored as::
+
+        m_1 = max(H0, -c_1),   m_{l+1} = max(m_l W_{l+1}, -c_{l+1}),
+        out = m_L w_out + c_out
+
+    where ``m_l + c_l`` is layer l's activation: one elementwise pass per
+    layer where adding a shape term or bias and then clamping takes two,
+    with the same products (the float64 hot path's structure, at half
+    the memory traffic and roughly twice the sgemm throughput).
+
+    The proxy is therefore the exhaustive scorer up to float32 rounding,
+    so the calibrated per-dtype margin ``delta`` is rounding-sized (~1e-6
+    standardized units), small against the ~0.01-unit spread of scores
     near the top-k frontier, which is what makes the widened shortlist
     barely wider than ``keep``.  Let ``delta >= max_i |f_i - p_i|``; for
     the ``keep``-th largest proxy ``tau``, every true top-k candidate
     satisfies ``p >= tau - 2*delta``, so the shortlist provably contains
-    the exhaustive top-k.
+    the exhaustive top-k.  A fit of any other layer form (a tanh hidden
+    layer, say) has no such proxy and searches exhaustively
+    (:meth:`applies`).
 
     ``_FoldedMLP.is_current()`` only watches the first layer and scalers,
     so the later layers are snapshotted here and re-checked by
@@ -613,8 +637,8 @@ class _Cascade:
     cascade until it is rebuilt.
     """
 
-    __slots__ = ("margins", "_ws", "_bs", "_acts", "_w_out", "_b_out",
-                 "_act_out", "_rest_snapshot", "_folded", "_widths")
+    __slots__ = ("margins", "_ws", "_w_out", "_rest_snapshot", "_folded",
+                 "_widths")
 
     def __init__(self, folded: _FoldedMLP, margins: Mapping[str, float]):
         self.margins = dict(margins)
@@ -623,15 +647,19 @@ class _Cascade:
             np.ascontiguousarray(lyr.w, dtype=np.float32)
             for lyr in rest[:-1]
         ]
-        self._bs = [lyr.b.astype(np.float32) for lyr in rest[:-1]]
-        self._acts = [lyr.activation for lyr in rest[:-1]]
-        last = rest[-1]
-        self._w_out = np.ascontiguousarray(last.w[:, 0], dtype=np.float32)
-        self._b_out = np.float32(last.b[0])
-        self._act_out = last.activation
+        self._w_out = np.ascontiguousarray(rest[-1].w[:, 0], dtype=np.float32)
         self._rest_snapshot = [(lyr.w.copy(), lyr.b.copy()) for lyr in rest]
         self._folded = folded
         self._widths = [folded._b1.shape[0]] + [w.shape[1] for w in self._ws]
+
+    @staticmethod
+    def applies(folded: _FoldedMLP) -> bool:
+        """Whether every hidden layer is ReLU and the output identity."""
+        acts = [folded._act0] + [lyr.activation for lyr in folded._rest]
+        return (
+            all(act.name == "relu" for act in acts[:-1])
+            and acts[-1].name == "identity"
+        )
 
     def is_current(self) -> bool:
         rest = self._folded._rest
@@ -642,26 +670,32 @@ class _Cascade:
             for (w, b), lyr in zip(self._rest_snapshot, rest)
         )
 
+    def _thresholds(
+        self, shape_vec: np.ndarray
+    ) -> tuple[list[np.ndarray], np.float32]:
+        """One shape's float32 ``-c_l`` per hidden layer and ``c_out``."""
+        c = self._folded._shape_term(shape_vec)
+        negs = [(-c).astype(np.float32)]
+        for w, b in self._rest_snapshot[:-1]:
+            c = c @ w + b
+            negs.append((-c).astype(np.float32))
+        w, b = self._rest_snapshot[-1]
+        return negs, np.float32(c @ w[:, 0] + b[0])
+
     def _score_chunk(
         self,
         chunk: np.ndarray,
-        h: np.ndarray,
+        consts: tuple[list[np.ndarray], np.float32],
         out_row: np.ndarray,
         bufs: list[np.ndarray],
     ) -> None:
+        negs, c_out = consts
         m = len(chunk)
-        a = bufs[0][:m]
-        np.add(chunk, h, out=a)
-        _FoldedMLP._activate(self._folded._act0, a)
-        for w, b, act, buf in zip(self._ws, self._bs, self._acts, bufs[1:]):
-            nxt = buf[:m]
-            np.dot(a, w, out=nxt)
-            np.add(nxt, b, out=nxt)
-            _FoldedMLP._activate(act, nxt)
-            a = nxt
+        a = np.maximum(chunk, negs[0], out=bufs[0][:m])
+        for w, neg, buf in zip(self._ws, negs[1:], bufs[1:]):
+            a = np.maximum(np.dot(a, w, out=buf[:m]), neg, out=buf[:m])
         np.dot(a, self._w_out, out=out_row)
-        np.add(out_row, self._b_out, out=out_row)
-        _FoldedMLP._activate(self._act_out, out_row)
+        out_row += c_out
 
     def scores(self, h0_lo: np.ndarray, shape_vec: np.ndarray) -> np.ndarray:
         """Float32 proxy scores for every candidate at one query shape.
@@ -683,13 +717,11 @@ class _Cascade:
         low-precision ``H0`` twin is amortized across the batch.  Row
         ranges run in parallel.
         """
-        hs = [
-            self._folded._shape_term(v).astype(np.float32)
-            for v in shape_vecs
-        ]
-        out = np.empty((len(hs), len(h0_lo)), dtype=np.float32)
+        consts = [self._thresholds(v) for v in shape_vecs]
+        out = np.empty((len(consts), len(h0_lo)), dtype=np.float32)
         _score_chunks(
-            h0_lo, hs, out, _CASCADE_CHUNK, self._widths, self._score_chunk
+            h0_lo, consts, out, _CASCADE_CHUNK, self._widths,
+            self._score_chunk,
         )
         return out
 
@@ -867,7 +899,8 @@ class ExhaustiveSearch:
 
         Returns None — and thus exhaustive search — unless the fit
         carries a calibration whose weights digest matches the *current*
-        weights and the collapsed-layer snapshot is still current.
+        weights and stage-1 form, the layer snapshot is still current,
+        and every layer has the form stage 1 scores.
         """
         if not self._cascade_enabled or self._folded is None:
             return None
@@ -881,7 +914,8 @@ class ExhaustiveSearch:
             return cas
         self._cascade = None
         self._cascade_calib = None
-        if calib is None or not calib.margins:
+        if (calib is None or not calib.margins
+                or not _Cascade.applies(self._folded)):
             return None
         from repro.mlp.serialize import fit_weights_digest
 
@@ -949,7 +983,8 @@ class ExhaustiveSearch:
         candidate set; the margin is that maximum times ``safety`` (plus
         a tiny absolute floor).  Deterministic for a given seed.  Returns
         the calibration; the caller attaches it to the fit
-        (``fit.cascade = ...``) to arm the cascade.
+        (``fit.cascade = ...``) to arm the cascade.  A fit stage 1 cannot
+        score (:meth:`_Cascade.applies`) gets no margins.
         """
         self._refresh_fold()
         if self._folded is None:
@@ -962,7 +997,7 @@ class ExhaustiveSearch:
         cas = _Cascade(self._folded, {})
         rng = np.random.default_rng(seed)
         margins: dict[str, float] = {}
-        for dtype in dtypes:
+        for dtype in dtypes if _Cascade.applies(self._folded) else ():
             sampler = self._spec.make_shape_sampler((dtype,))
             delta = 0.0
             for _ in range(n_shapes):

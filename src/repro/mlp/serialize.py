@@ -24,17 +24,26 @@ from repro.mlp.training import History
 FORMAT_VERSION = 1
 
 
-def fit_weights_digest(fit: FitResult) -> str:
-    """BLAKE2b over every weight, bias and scaler statistic of a fit.
+#: The form of the cascade's float32 stage 1, hashed into every weights
+#: digest.  A margin measures one proxy's rounding, so a margin measured
+#: against other stage-1 arithmetic must not arm this one: change the
+#: constant whenever the stage-1 arithmetic changes.
+_STAGE1_FORM = b"cascade stage 1: thresholded ReLU layers"
 
-    The cascade's calibrated margins are only valid for the exact weights
-    they were measured against; this digest is stored inside
-    :class:`~repro.mlp.crossval.CascadeCalibration` and re-checked before
-    pruning, so a hot-swapped or mutated model can never prune with a
-    stale margin.
+
+def fit_weights_digest(fit: FitResult) -> str:
+    """BLAKE2b over every weight, bias, activation and scaler statistic.
+
+    The cascade's calibrated margins are only valid for the exact network
+    and the exact stage-1 form they were measured against; this digest is
+    stored inside :class:`~repro.mlp.crossval.CascadeCalibration` and
+    re-checked before pruning, so a hot-swapped or mutated model, or a
+    calibration of an older stage 1, can never prune with a stale margin.
     """
     h = hashlib.blake2b(digest_size=16)
+    h.update(_STAGE1_FORM)
     for layer in fit.model.layers:
+        h.update(layer.activation.name.encode())
         h.update(np.ascontiguousarray(layer.w, dtype=np.float64).tobytes())
         h.update(np.ascontiguousarray(layer.b, dtype=np.float64).tobytes())
     h.update(np.ascontiguousarray(fit.x_scaler.mean_, dtype=np.float64).tobytes())

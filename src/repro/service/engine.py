@@ -968,9 +968,11 @@ class Engine:
 
         No-op when the engine disables the cascade.  Otherwise, if the
         pair's fit carries no calibration — or one whose weights digest
-        no longer matches the live weights — the margins are recalibrated
-        under the tuner lock and, when the fit came from the model store,
-        re-saved so the next process boots already calibrated.
+        no longer matches the live weights or stage-1 form — the margins
+        are recalibrated under the tuner lock and, when the fit came from
+        the model store, re-saved so the next process boots already
+        calibrated.  A fit stage 1 cannot score gets no margins and stays
+        unarmed.
         """
         if not self._cascade_enabled:
             return False
@@ -983,14 +985,13 @@ class Engine:
             if fit is None or tuner.searcher is None:
                 return False
             calib = fit.cascade
-            if (calib is not None
-                    and calib.weights_digest == fit_weights_digest(fit)):
-                return True
-            tuner.calibrate_cascade()
-            path = self._model_index.get(key)
-            if path is not None:
-                tuner.save(path)
-        return True
+            if (calib is None
+                    or calib.weights_digest != fit_weights_digest(fit)):
+                calib = tuner.calibrate_cascade()
+                path = self._model_index.get(key)
+                if path is not None:
+                    tuner.save(path)
+        return bool(calib.margins)
 
     def op_for_shape(self, shape: Any, *, device: str | None = None) -> str:
         """The served op whose shape type matches ``shape``.
@@ -1075,17 +1076,31 @@ class Engine:
         section means no reader can ever mix the two.
 
         The swap drops the cascade calibration (its margins hashed the
-        old weights) and, when the cascade is enabled, recalibrates for
-        the new ones inside the same critical section — so no search ever
-        observes new weights with stale pruning margins, and the first
-        post-swap query already serves from the shortlist path.
+        old weights) and, when the cascade is enabled, attaches one for
+        the new weights inside the same critical section — so no search
+        ever observes new weights with stale pruning margins, and the
+        first post-swap query already serves from the shortlist path.
+        That calibration is measured before the lock is taken, on a
+        tuner of the update's own fit, while searches go on against the
+        live one; the swap adopts its margins and its prescaled ``H0``
+        terms when its digest matches the swapped-in weights, and
+        recalibrates in place otherwise.  Searches therefore never wait
+        on a recalibration, only on the weight copy and refold.
         """
+        from repro.mlp.serialize import fit_weights_digest
+
         key = (update.device, update.op)
         with self._registry_lock:
             tuner = self._tuners.get(key)
             lock = self._tuner_locks.get(key)
         if tuner is None or lock is None:
             return
+        fresh = None
+        if (self._cascade_enabled and tuner.searcher is not None
+                and tuner.fit_result.cascade is not None):
+            fresh = Isaac.from_fit(tuner.device, tuner.spec, update.fit,
+                                   dtypes=tuner.dtypes)
+            fresh.calibrate_cascade()
         with lock:
             live = tuner.fit_result
             had_calibration = live.cascade is not None
@@ -1094,10 +1109,21 @@ class Engine:
             live.val_mse = update.fit.val_mse
             live.lineage = update.fit.lineage
             live.cascade = None
-            if tuner.searcher is not None:
-                tuner.searcher.refold()
+            searcher = tuner.searcher
+            if searcher is not None:
+                searcher.refold()
                 if self._cascade_enabled and had_calibration:
-                    tuner.calibrate_cascade()
+                    calib = None if fresh is None else fresh.fit_result.cascade
+                    if (calib is not None and calib.weights_digest
+                            == fit_weights_digest(live)):
+                        live.cascade = calib
+                        prepared = fresh.searcher
+                        for k, h0 in prepared.prescaled_snapshot().items():
+                            searcher.adopt_prescaled(k, h0)
+                        for k, lo in prepared.cascade_snapshot().items():
+                            searcher.adopt_cascade(k, lo)
+                    else:
+                        tuner.calibrate_cascade()
         self._n_swaps += 1
 
     def start_online(self) -> bool:

@@ -130,6 +130,58 @@ class TestCandidateStore:
                                         edited)
         assert again == fresh
 
+    def test_superseded_conv_file_is_not_hashed_and_save_drops_it(
+        self, tmp_path, monkeypatch
+    ):
+        """A record stored under its canonical key and under the older
+        pow2 key: load() hashes one file, and save() then leaves only
+        the canonical file and its digest sidecar."""
+        shape = ConvShape.from_output(n=32, p=14, q=128, k=64, c=128, r=3,
+                                      s=3)
+        conv_search.conv_candidates_batch(GTX_980_TI, shape)
+        key = conv_search.conv_bucket_key(GTX_980_TI, shape)
+        assert key[3:] == (32, 8)
+        rec = conv_search.bucket_cache_snapshot()[key]
+        store = CandidateStore(tmp_path)
+        for stored in (key[:3] + (32, 128), key):
+            store._write(
+                tmp_path / store._filename("conv-bucket", stored),
+                "conv-bucket", stored, "conv", rec.params, rec.space_params,
+            )
+        search.clear_cache()
+        hashed = []
+        check = integrity.check
+
+        def spy(path):
+            hashed.append(path.name)
+            return check(path)
+
+        monkeypatch.setattr(integrity, "check", spy)
+        assert store.load() == 1
+        canonical = tmp_path / store._filename("conv-bucket", key)
+        assert hashed == [canonical.name]
+        assert set(conv_search.bucket_cache_snapshot()) == {key}
+
+        assert store.save() == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [canonical.name, integrity.digest_path(canonical).name]
+        )
+        assert check(canonical) is True
+
+    def test_file_of_another_version_is_not_hashed(self, tiny_space,
+                                                   tmp_path, monkeypatch):
+        search.legal_configs(GTX_980_TI, DType.FP32, "gemm", tiny_space)
+        store = CandidateStore(tmp_path / "candidates")
+        assert store.save() == 1
+        monkeypatch.setattr(
+            candidate_store, "_VERSION", candidate_store._VERSION + 1
+        )
+        search.clear_cache()
+        hashed = []
+        monkeypatch.setattr(integrity, "check", hashed.append)
+        assert store.load() == 0
+        assert hashed == []
+
     def test_seed_does_not_clobber_cached_records(self, tiny_space,
                                                   tmp_path):
         configs, _ = search.legal_configs(

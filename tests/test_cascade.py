@@ -8,15 +8,20 @@ only the shortlist in float64.  These tests pin the three legs:
 * **parity** — cascade top-k equals exhaustive top-k exactly (configs
   *and* predicted TFLOPS) for gemm/conv/bgemm, single and batched,
   across hypothesis-random shapes and k;
-* **safety fallbacks** — an uncalibrated fit, a stale weights digest, a
-  failed query-time margin check, or a too-small candidate set each
-  force the exhaustive path (correct answers, counted fallbacks), never
-  a silently wrong shortlist;
+* **safety fallbacks** — an uncalibrated fit, a stale weights digest
+  (new weights, or a margin measured against an older stage-1 form), a
+  fit whose layers stage 1 cannot threshold, a failed query-time margin
+  check, or a too-small candidate set each force the exhaustive path
+  (correct answers, counted fallbacks), never a silently wrong
+  shortlist;
 * **hot-swap regression** — an online fine-tune (PR 7) drops the old
-  margins inside the swap's critical section and recalibrates for the
-  new weights, so mid-traffic swaps can never serve stale-margin
-  results; the worker tier re-arms from the broadcast fit bytes alone.
+  margins inside the swap's critical section and attaches margins
+  measured for the new weights (before the lock is taken), so
+  mid-traffic swaps can never serve stale-margin results; the worker
+  tier re-arms from the broadcast fit bytes alone.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -27,7 +32,10 @@ from repro.core.batched import BatchedGemmShape
 from repro.core.tuner import Isaac
 from repro.core.types import ConvShape, DType, GemmShape
 from repro.gpu.device import TESLA_P100
+from repro.inference import search as search_module
 from repro.mlp.crossval import CascadeCalibration
+from repro.mlp import serialize
+from repro.mlp.layers import ACTIVATIONS
 from repro.mlp.serialize import (
     fit_from_bytes,
     fit_to_bytes,
@@ -35,6 +43,7 @@ from repro.mlp.serialize import (
 )
 from repro.service.engine import Engine, KernelRequest, WorkerEngine
 from repro.service.online import OnlineConfig
+from repro.workloads.networks import NetworkStep
 
 DEVICE = TESLA_P100.name
 
@@ -232,6 +241,110 @@ def test_stale_weights_digest_disarms_until_recalibration(mutable_tuner):
         mutable_tuner.calibrate_cascade()
 
 
+def _add_then_clamp_digest(fit) -> str:
+    """The digest calibrations carried while stage 1 added each shape
+    term and bias and then clamped: the same fields, no stage-1 form."""
+    h = hashlib.blake2b(digest_size=16)
+    for layer in fit.model.layers:
+        h.update(np.ascontiguousarray(layer.w, dtype=np.float64).tobytes())
+        h.update(np.ascontiguousarray(layer.b, dtype=np.float64).tobytes())
+    for stat in (fit.x_scaler.mean_, fit.x_scaler.scale_):
+        h.update(np.ascontiguousarray(stat, dtype=np.float64).tobytes())
+    h.update(np.float64(fit.y_scaler.mean_).tobytes())
+    h.update(np.float64(fit.y_scaler.scale_).tobytes())
+    return h.hexdigest()
+
+
+def test_margin_of_the_add_then_clamp_stage1_never_arms(
+    mutable_tuner, tmp_path, monkeypatch
+):
+    """A margin measured against the older stage-1 form sized another
+    proxy's rounding: the fit searches exhaustively (same top-k, counted)
+    until warmup recalibrates it and re-saves it."""
+    shape = GemmShape(288, 64, 288, DType.FP32, False, True)
+    search = mutable_tuner.searcher
+    stats = search.cascade_stats
+    fit = mutable_tuner.fit_result
+    calib = fit.cascade
+    assert calib.weights_digest != _add_then_clamp_digest(fit)
+    before_cas = stats.cascade_queries
+    want = mutable_tuner.top_k(shape, 10)
+    assert stats.cascade_queries == before_cas + 1
+    # The digest hashes the stage-1 form: another form disarms too.
+    with monkeypatch.context() as m:
+        m.setattr(serialize, "_STAGE1_FORM", b"another stage 1")
+        assert fit_weights_digest(fit) != calib.weights_digest
+    try:
+        fit.cascade = CascadeCalibration(
+            margins=dict(calib.margins),
+            weights_digest=_add_then_clamp_digest(fit),
+            n_shapes=calib.n_shapes,
+            safety=calib.safety,
+        )
+        before_exh = stats.exhaustive_queries
+        got = mutable_tuner.top_k(shape, 10)
+        assert stats.exhaustive_queries == before_exh + 1
+        assert stats.cascade_queries == before_cas + 1
+        assert _tops_equal(got, want)
+        path = tmp_path / "older-form.npz"
+        mutable_tuner.save(path)
+    finally:
+        fit.cascade = calib
+
+    step = NetworkStep("probe", "one gemm", (("gemm", _shape(232)),))
+    with Engine.open(tmp_path) as engine:
+        engine.warmup(step, k=5, reps=1)
+        loaded = engine._tuner(DEVICE, "gemm").fit_result
+        assert loaded.cascade.weights_digest == fit_weights_digest(loaded)
+        assert loaded.cascade.margins
+        assert engine.stats().cascade_searches == 1
+        assert engine.stats().exhaustive_searches == 0
+    saved = fit_from_bytes(path.read_bytes())
+    assert saved.cascade.weights_digest == fit_weights_digest(saved)
+
+
+def test_tanh_fit_never_arms_the_cascade(mutable_tuner, tmp_path):
+    """Stage 1 thresholds ReLU layers only: a tanh fit loaded from disk
+    searches exhaustively, whatever margins it carries, and warmup arms
+    nothing."""
+    fit = fit_from_bytes(fit_to_bytes(mutable_tuner.fit_result))
+    for layer in fit.model.layers[:-1]:
+        layer.activation = ACTIVATIONS["tanh"]
+    path = tmp_path / "tanh.npz"
+    Isaac.from_fit(TESLA_P100, "gemm", fit,
+                   dtypes=mutable_tuner.dtypes).save(path)
+    tuner = Isaac.load(path)
+    tanh_fit = tuner.fit_result
+    assert all(lyr.activation.name == "tanh"
+               for lyr in tanh_fit.model.layers[:-1])
+    # The ReLU fit's margins came along, but the digest hashes the
+    # activations: they do not arm the tanh network.
+    assert tanh_fit.cascade.weights_digest != fit_weights_digest(tanh_fit)
+    stats = tuner.searcher.cascade_stats
+    shape = GemmShape(320, 64, 320, DType.FP32, False, True)
+    got = tuner.top_k(shape, 10)
+    assert stats.cascade_queries == 0 and stats.exhaustive_queries == 1
+    # Nor does a calibration that matches the digest: stage 1 has no
+    # thresholded form of a tanh layer to prune with.
+    relu_calib = tanh_fit.cascade
+    tanh_fit.cascade = CascadeCalibration(
+        margins=dict(relu_calib.margins),
+        weights_digest=fit_weights_digest(tanh_fit),
+    )
+    assert _tops_equal(tuner.top_k(shape, 10), got)
+    assert tuner.calibrate_cascade().margins == {}
+    assert _tops_equal(tuner.top_k(shape, 10), got)
+    assert stats.cascade_queries == 0 and stats.exhaustive_queries == 3
+    assert stats.fallbacks == 0  # stage 1 never ran
+
+    step = NetworkStep("probe", "one gemm", (("gemm", _shape(248)),))
+    with Engine.open(tmp_path) as engine:
+        assert not engine.ensure_cascade(DEVICE, "gemm")
+        engine.warmup(step, k=5, reps=1)
+        assert engine.stats().cascade_searches == 0
+        assert engine.stats().exhaustive_searches == 1
+
+
 def test_tiny_candidate_set_skips_cascade(mutable_tuner):
     """keep within 4x of the set size: two passes cost more than one."""
     shape = GemmShape(128, 64, 128, DType.FP32, False, True)
@@ -329,6 +442,58 @@ def test_hot_swap_mid_traffic_never_serves_stale_margins():
     best = clone.best_kernel(probe, k=10, reps=2)
     assert reply.config == best.config
     assert clone.searcher.cascade_stats.cascade_queries == 1
+    engine.close()
+
+
+def test_hot_swap_calibrates_outside_the_tuner_lock(monkeypatch):
+    """A hot-swap measures the new weights' margins before it takes the
+    tuner lock, so no search waits on a recalibration.  The swap attaches
+    exactly the margins an in-place recalibration measures, and the
+    prescaled terms they were measured on: the first post-swap search
+    cascades without prescaling again."""
+    engine = Engine(
+        online=OnlineConfig(update_every=8, epochs=2, anchor_size=64,
+                            batch_size=32),
+        max_workers=0,
+    )
+    engine.register(_tiny_tuner())
+    tuner = engine._tuner(DEVICE, "gemm")
+    lock = engine._tuner_locks[(DEVICE, "gemm")]
+    held = []
+    calibrate = Isaac.calibrate_cascade
+
+    def spy_calibrate(self, **kwargs):
+        held.append(lock.locked())
+        return calibrate(self, **kwargs)
+
+    monkeypatch.setattr(Isaac, "calibrate_cascade", spy_calibrate)
+    updates = []
+    for m in (256, 288, 320, 352, 384):
+        engine.query(KernelRequest("gemm", _shape(m), k=10, reps=2))
+        updates = engine.run_online_updates()
+        if updates:
+            break
+    assert updates
+    assert held and not any(held)
+    fit = tuner.fit_result
+    assert fit.cascade.weights_digest == fit_weights_digest(fit)
+
+    prescaled = []
+    prescale = search_module._FoldedMLP.prescale
+
+    def spy_prescale(self, cfg_matrix):
+        prescaled.append(len(cfg_matrix))
+        return prescale(self, cfg_matrix)
+
+    monkeypatch.setattr(search_module._FoldedMLP, "prescale", spy_prescale)
+    before = engine.stats()
+    engine.query(KernelRequest("gemm", _shape(500), k=10, reps=2))
+    after = engine.stats()
+    assert prescaled == []
+    assert after.cascade_searches == before.cascade_searches + 1
+    assert after.cascade_fallbacks == before.cascade_fallbacks
+    margins = dict(fit.cascade.margins)
+    assert tuner.calibrate_cascade().margins == margins
     engine.close()
 
 

@@ -486,6 +486,51 @@ def test_partitioned_scoring_is_bit_identical(op, request, force_width):
                 assert np.array_equal(serial, parted), (op, rows, width)
 
 
+#: Four shapes per op that no fixture's calibration sampled (its draws
+#: come from the op's shape sampler); the conv ones fall into four
+#: different candidate sets.
+_UNSAMPLED_SHAPES = {
+    "gemm": [
+        GemmShape(1000, 24, 3000, DType.FP32, False, False),
+        GemmShape(77, 900, 4096, DType.FP32, True, False),
+        GemmShape(2048, 2048, 64, DType.FP32, False, True),
+        GemmShape(300, 5000, 300, DType.FP32, True, True),
+    ],
+    "conv": [
+        ConvShape.from_output(n=1, p=28, q=28, k=96, c=48, r=3, s=3),
+        ConvShape.from_output(n=8, p=7, q=7, k=256, c=256, r=1, s=1),
+        ConvShape.from_output(n=16, p=14, q=56, k=32, c=64, r=3, s=3),
+        ConvShape.from_output(n=64, p=3, q=3, k=128, c=64, r=3, s=3),
+    ],
+    "bgemm": [
+        BatchedGemmShape(batch=8, base=GemmShape(256, 32, 512)),
+        BatchedGemmShape(batch=128, base=GemmShape(32, 32, 64)),
+        BatchedGemmShape(batch=32, base=GemmShape(96, 200, 96)),
+        BatchedGemmShape(batch=4, base=GemmShape(1024, 64, 1024)),
+    ],
+}
+
+
+@pytest.mark.parametrize("op", ["gemm", "conv", "bgemm"])
+def test_proxy_gap_within_margin_on_whole_sets(op, request, force_width):
+    """The cascade's premise, checked on whole candidate sets rather than
+    through top-k parity: on shapes calibration did not sample, every
+    candidate's |full - proxy| is within the fit's margin, at widths 1
+    and 2."""
+    tuner = request.getfixturevalue(_OP_TUNERS[op])
+    search = tuner.searcher
+    delta = tuner.fit_result.cascade.margins["FP32"]
+    cas = search._cascade_state()
+    assert cas is not None
+    for shape in _UNSAMPLED_SHAPES[op]:
+        _, cs, h0_lo, (vec,) = _scoring_inputs(tuner, [shape])
+        for width in (1, 2):
+            force_width(width)
+            full = search._folded.predict(cs.h0, vec)
+            proxy = cas.scores(h0_lo, vec).astype(np.float64)
+            assert np.max(np.abs(full - proxy)) <= delta, (op, shape, width)
+
+
 @pytest.mark.parametrize("op", ["gemm", "conv", "bgemm"])
 def test_calibration_margins_do_not_depend_on_width(
     op, request, force_width
