@@ -7,20 +7,25 @@ legality-checked the whole GEMM tile set in a Python loop.  The candidate
 supply is now array-native end to end: ``ParamSpace.grid`` materializes
 X̂ as struct-of-arrays columns, ``legal_mask`` filters it in one pass,
 the log-feature matrix is built straight from the surviving columns,
-CONV candidates are generated vectorized once per pow2 bucket, and
-config *objects* stay lazy (``LazyConfigList``) — only the top-k rows a
-search touches are ever constructed.  The timed sections therefore
-measure exactly what a first query pays; the parity asserts materialize
-everything afterwards.
+CONV candidates come from one vectorized base per (device, dtype) from
+which each tile-factorization bucket derives only its six split
+columns, and config *objects* stay lazy (``LazyConfigList``) — only the
+top-k rows a search touches are ever constructed.  The timed sections
+therefore measure exactly what a first query pays; the parity asserts
+materialize everything afterwards.
 
 This bench times both paths and asserts:
 
 * GEMM enumeration (``legal_configs``) is >= 10x the scalar walk
   (REPRO_BENCH_SMOKE=1 relaxes the floor to 4x for noisy CI runners);
-* first-query CONV candidate generation (configs + feature matrix, the
-  work ``ExhaustiveSearch`` does per new bucket) is >= 5x the scalar
+* first-query CONV candidate generation (configs + feature matrix:
+  the (device, dtype) base plus its first bucket) is >= 5x the scalar
   loop (2.5x under smoke);
-* both candidate sets and feature matrices are **bit-identical** to the
+* a new bucket once the base exists (a shape in a second tile
+  factorization) is >= 3x faster than that first query (2x under
+  smoke), so a return to generating every bucket from the GEMM set
+  fails;
+* the candidate sets and feature matrices are **bit-identical** to the
   scalar reference, in identical order;
 * a warmed :class:`~repro.core.candidate_store.CandidateStore` serves the
   same sets with zero product-space enumeration.
@@ -51,8 +56,13 @@ from repro.sampling.features import conv_config_matrix
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 GEMM_FLOOR = 4.0 if SMOKE else 10.0
 CONV_FLOOR = 2.5 if SMOKE else 5.0
+NEW_BUCKET_FLOOR = 2.0 if SMOKE else 3.0
 
 CONV_SHAPE = ConvShape.from_output(n=4, p=14, q=14, k=64, c=128, r=3, s=3)
+#: A shape in another tile factorization than CONV_SHAPE's.
+NEW_BUCKET_SHAPE = ConvShape.from_output(
+    n=32, p=7, q=7, k=64, c=64, r=3, s=3
+)
 
 
 def test_bench_cold_start(results_recorder):
@@ -89,12 +99,28 @@ def test_bench_cold_start(results_recorder):
     conv_vector_s = time.perf_counter() - t0
     conv_speedup = conv_scalar_s / conv_vector_s
 
-    conv_identical = conv_cfgs == ref_conv and np.array_equal(
-        conv_mat, ref_conv_mat
+    # A new bucket once the base exists: only its split columns.  Timed
+    # before the parity checks, which build every config object.
+    assert conv_search.conv_bucket_key(
+        device, NEW_BUCKET_SHAPE
+    ) != conv_search.conv_bucket_key(device, CONV_SHAPE)
+    t0 = time.perf_counter()
+    new_cfgs, new_mat = conv_search.conv_candidates_batch(
+        device, NEW_BUCKET_SHAPE
+    )
+    new_bucket_s = time.perf_counter() - t0
+    new_bucket_speedup = conv_vector_s / new_bucket_s
+
+    ref_new = conv_search.conv_candidates(device, NEW_BUCKET_SHAPE)
+    conv_identical = (
+        conv_cfgs == ref_conv
+        and np.array_equal(conv_mat, ref_conv_mat)
+        and new_cfgs == ref_new
+        and np.array_equal(new_mat, conv_config_matrix(ref_new, log=True))
     )
     assert conv_identical, "vectorized CONV generation diverges from scalar"
 
-    # Repeat shapes in the same pow2 bucket skip generation entirely.
+    # Repeat shapes in the same bucket skip generation entirely.
     same_bucket = ConvShape.from_output(
         n=3, p=20, q=14, k=32, c=64, r=3, s=3
     )
@@ -137,6 +163,9 @@ def test_bench_cold_start(results_recorder):
         f"{conv_vector_s:9.2f}s {conv_speedup:7.1f}x",
         f"{'CONV same-bucket repeat':>38s} {'—':>10s} "
         f"{bucket_hit_ms:7.2f}ms {'':>8s}",
+        f"{'CONV new bucket (vs first query)':>38s} "
+        f"{conv_vector_s * 1e3:8.1f}ms {new_bucket_s * 1e3:8.1f}ms "
+        f"{new_bucket_speedup:7.1f}x",
         f"{'store-warmed cold start':>38s} {'—':>10s} "
         f"{store_s:9.2f}s {'':>8s}",
         f"candidates: gemm={len(cfgs)}, conv={len(conv_cfgs)}; "
@@ -159,6 +188,8 @@ def test_bench_cold_start(results_recorder):
             "conv_vectorized_s": conv_vector_s,
             "conv_speedup": conv_speedup,
             "conv_bucket_hit_ms": bucket_hit_ms,
+            "conv_new_bucket_s": new_bucket_s,
+            "conv_new_bucket_speedup": new_bucket_speedup,
             "store_cold_start_s": store_s,
             "bit_identical": bool(gemm_identical and conv_identical),
         },
@@ -173,6 +204,10 @@ def test_bench_cold_start(results_recorder):
         f"(floor {CONV_FLOOR}x)"
     )
     assert bucket_hit_ms < 50.0, "bucket hit should be (sub-)millisecond"
+    assert new_bucket_speedup >= NEW_BUCKET_FLOOR, (
+        f"a new CONV bucket only {new_bucket_speedup:.1f}x faster than "
+        f"the first conv query (floor {NEW_BUCKET_FLOOR}x)"
+    )
 
 
 if __name__ == "__main__":

@@ -1,25 +1,19 @@
 """On-disk store of enumerated candidate sets (the cold-start killer).
 
-Enumerating a tuning space — even vectorized — and generating per-bucket
-CONV candidates is work a fresh process should not repeat: the surviving
-tuning-parameter *columns* fully determine the candidate list and its
-log-feature matrix (bit-for-bit; see
-:meth:`repro.inference.search.CandidateRecord.materialize`).  This module
-persists exactly those columns, one ``.npz`` per cache key, in a
-directory next to the :class:`~repro.core.profile_cache.ProfileCache`.
+Enumerating a tuning space — even vectorized — is work a fresh process
+should not repeat: the surviving tuning-parameter *columns* fully
+determine the candidate list and its log-feature matrix (bit-for-bit;
+see :meth:`repro.inference.search.CandidateRecord.materialize`).  This
+module persists exactly those columns, one ``.npz`` per (op, device,
+dtype, space) enumeration from
+:func:`repro.inference.search.legal_configs`, in a directory next to
+the :class:`~repro.core.profile_cache.ProfileCache`.
 
-Two kinds of record round-trip:
-
-* ``enum`` — a full (op, device, dtype, space) enumeration from
-  :func:`repro.inference.search.legal_configs`;
-* ``conv-bucket`` — a CONV candidate set, one per distinct tile
-  factorization, from
-  :func:`repro.inference.conv_search.conv_candidates_batch`.  A record
-  saved under the older, finer key (one per pow2 extent pair) loads
-  under its canonical key.  ``load()`` reads files under a canonical
-  key first and skips a superseded one whose record is already held,
-  without hashing it; ``save()`` unlinks a superseded file once the
-  canonical file holds its record.
+CONV candidate sets are not stored: each derives from the GEMM
+enumeration (:mod:`repro.inference.conv_search`) in less time than
+hashing and reading its file would take.  Files of the ``conv-bucket``
+kind older stores wrote are skipped by ``load()`` on their ``__meta__``,
+before they are hashed, and unlinked with their sidecar by ``save()``.
 
 ``load()`` seeds the in-process caches with params-only records (config
 objects stay lazy until first use), so a warmed directory makes cold
@@ -66,7 +60,6 @@ def _inject(site: str, path: Path | None = None) -> None:
     inject(site, path)
 
 _KIND_ENUM = "enum"
-_KIND_CONV = "conv-bucket"
 
 #: Store format version.  Bump it whenever the record layout *or the
 #: legality semantics* change: files with another version are ignored and
@@ -96,30 +89,21 @@ def _slug(part: object) -> str:
 # Cache <-> record plumbing, shared by the disk store and the worker tier
 # ----------------------------------------------------------------------
 
-def collect_cache_records() -> list[tuple[str, tuple, str, tuple | None,
-                                          dict]]:
-    """Every in-memory candidate set as ``(kind, key, op, space, columns)``.
+def collect_cache_records() -> list[tuple[tuple, str, tuple | None, dict]]:
+    """Every in-memory enumeration as ``(key, op, space, columns)``.
 
     The export form both :meth:`CandidateStore.save` and the worker-tier
     shared-memory boot consume: tuning-parameter columns only (records
     from the scalar fallback have their columns recovered from the config
-    objects), ops no longer registered skipped.
+    objects), ops no longer registered skipped.  CONV buckets are left
+    out: a process derives them from the GEMM enumeration.
     """
     from repro.core.ops import get_op, registered_ops
     from repro.core.soa import config_columns
-    from repro.inference.conv_search import bucket_cache_snapshot
     from repro.inference.search import enum_cache_snapshot
 
-    records = [
-        (_KIND_ENUM, key, rec)
-        for key, rec in enum_cache_snapshot().items()
-    ]
-    records += [
-        (_KIND_CONV, key, rec)
-        for key, rec in bucket_cache_snapshot().items()
-    ]
     out = []
-    for kind, key, rec in records:
+    for key, rec in enum_cache_snapshot().items():
         if rec.op not in registered_ops():
             continue  # transient op (e.g. a test spec since removed)
         params = rec.params
@@ -131,40 +115,31 @@ def collect_cache_records() -> list[tuple[str, tuple, str, tuple | None,
             params = config_columns(
                 rec.configs, spec.config_type.param_names()
             )
-        out.append((kind, tuple(key), rec.op, rec.space_params, params))
+        out.append((tuple(key), rec.op, rec.space_params, params))
     return out
 
 
-def _superseding_key(meta: Mapping) -> tuple | None:
-    """The canonical key of a conv file stored under an older, finer key.
-
-    None for any other file: an enum record, or a conv record already
-    under its canonical key.
-    """
-    from repro.inference.conv_search import canonical_bucket_key
-
-    if meta.get("kind") != _KIND_CONV:
-        return None
-    canon = canonical_bucket_key(meta["key"])
-    return None if canon == tuple(meta["key"]) else canon
+def _retired(meta: Mapping) -> bool:
+    """A record of this store version whose kind is no longer written."""
+    return (
+        meta.get("version") == _VERSION
+        and meta.get("kind", _KIND_ENUM) != _KIND_ENUM
+    )
 
 
 def seed_cache_record(
-    kind: str,
     key: tuple,
     op: str,
     params: Mapping[str, np.ndarray],
     space_params: tuple | None,
 ) -> bool:
-    """Publish one record into the in-process caches; True if kept.
+    """Publish one enumeration into the in-process cache; True if kept.
 
     The single seeding point behind :meth:`CandidateStore.load` and the
     worker-tier attach: guards against ops this process has not
-    registered and against columns predating a config-schema change, then
-    routes to the enum or conv-bucket cache by ``kind``.
+    registered and against columns predating a config-schema change.
     """
     from repro.core.ops import get_op, registered_ops
-    from repro.inference.conv_search import seed_bucket_record
     from repro.inference.search import seed_enum_record
 
     if op not in registered_ops():
@@ -172,8 +147,6 @@ def seed_cache_record(
     spec = get_op(op)
     if not set(spec.config_type.param_names()) <= set(params):
         return False  # columns predate a config-schema change
-    if kind == _KIND_CONV:
-        return bool(seed_bucket_record(key, params, space_params))
     return bool(seed_enum_record(key, op, params, space_params))
 
 
@@ -197,14 +170,13 @@ class CandidateStore:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _filename(kind: str, key: Hashable) -> str:
+    def _filename(key: Hashable) -> str:
         parts = "--".join(_slug(p) for p in key)
-        return f"{kind}--{parts}.npz"
+        return f"{_KIND_ENUM}--{parts}.npz"
 
     def _write(
         self,
         path: Path,
-        kind: str,
         key: Hashable,
         op: str,
         params: Mapping[str, np.ndarray],
@@ -214,7 +186,7 @@ class CandidateStore:
         meta = json.dumps(
             {
                 "version": _VERSION,
-                "kind": kind,
+                "kind": _KIND_ENUM,
                 "op": op,
                 "key": list(key),
                 "space": _encode_space(space_params),
@@ -256,29 +228,19 @@ class CandidateStore:
 
         Returns the number of records seeded (keys already cached in
         memory keep their entry).  Each file's ``__meta__`` is read
-        first: a file of another store version, or one under a
-        superseded conv key whose record is already held, is skipped
-        before it is hashed or its columns read.  A file that fails its
-        digest check or cannot be parsed is quarantined
+        first: a file of another store version or of a retired kind is
+        skipped before it is hashed or its columns read.  A file that
+        fails its digest check or cannot be parsed is quarantined
         (``*.corrupt-<digest8>``) — the corresponding set simply
         re-enumerates and is re-saved later.
         """
-        from repro.inference.conv_search import bucket_cache_snapshot
-
-        entries = []
+        seeded = 0
         for path in self.files():
             _inject("candidate_store.load", path)
             peek = self._peek(path)
-            if peek is not None and peek[0].get("version") != _VERSION:
-                continue
-            canon = None if peek is None else _superseding_key(peek[0])
-            entries.append((path, canon))
-        # Files under a canonical key go first, so a superseded file of
-        # the same record finds it held and costs no hashing.
-        entries.sort(key=lambda e: e[1] is not None)
-        seeded = 0
-        for path, canon in entries:
-            if canon is not None and canon in bucket_cache_snapshot():
+            if peek is not None and (
+                peek[0].get("version") != _VERSION or _retired(peek[0])
+            ):
                 continue
             if integrity.check(path) is False:
                 import warnings
@@ -308,7 +270,6 @@ class CandidateStore:
                 )
                 continue
             seeded += seed_cache_record(
-                meta.get("kind", _KIND_ENUM),
                 tuple(meta["key"]),
                 meta.get("op", meta["key"][0]),
                 params,
@@ -348,26 +309,21 @@ class CandidateStore:
         space) is rewritten atomically, or every later process would
         skip it and enumerate again.  Its old digest sidecar goes first,
         so a concurrent load() never pairs it with the new bytes.  A
-        conv file under a superseded key is unlinked, sidecar included,
-        once the file under its canonical key holds a current record.
+        file of a retired kind is unlinked, sidecar included.
         """
         written = 0
-        for kind, key, op, space_params, params in collect_cache_records():
-            path = self._dir / self._filename(kind, key)
+        for key, op, space_params, params in collect_cache_records():
+            path = self._dir / self._filename(key)
             if path.exists():
                 if self._holds(path, key, space_params, params):
                     continue
                 integrity.digest_path(path).unlink(missing_ok=True)
             self._dir.mkdir(parents=True, exist_ok=True)
-            self._write(path, kind, key, op, params, space_params)
+            self._write(path, key, op, params, space_params)
             written += 1
         for path in self.files():
             peek = self._peek(path)
-            canon = None if peek is None else _superseding_key(peek[0])
-            if canon is not None and self._holds(
-                self._dir / self._filename(_KIND_CONV, canon), canon,
-                _decode_space(peek[0].get("space")), peek[1],
-            ):
+            if peek is not None and _retired(peek[0]):
                 integrity.digest_path(path).unlink(missing_ok=True)
                 path.unlink(missing_ok=True)
         return written

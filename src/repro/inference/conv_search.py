@@ -16,29 +16,37 @@ exactly like GEMM candidates.
 
 Two supplies exist.  :func:`conv_candidates` is the scalar reference: a
 Python loop over the GEMM tile set, one projection / dedup / legality
-check at a time.  :func:`conv_candidates_batch` is the hot path: it runs
-the same factorization as array arithmetic over the cached GEMM survivor
-*columns*, dedups via one packed-exponent ``np.unique``, applies
-``conv_legal_mask`` once, and caches the result per *canonical bucket*.
-The factorization reads the batch only as ``min(next_pow2(n), ml)`` and
-the width only as ``min(next_pow2(q), ml // nb)`` (legality reads only
-the dtype), so :func:`conv_bucket_key` clamps both extents to what the
-largest block tile can tell apart: every shape with the same tile
-factorization shares one candidate set, at most 45 per (device, dtype).
-Both paths produce bit-identical (configs, matrix) results in identical
-order.
+check at a time.  :func:`conv_candidates_batch` is the hot path, split at
+what the query decides.  Once per (device, dtype) it builds a *base*
+(:func:`_build_base`): the GEMM survivors whose ``kg`` is a CONV ``cg``
+value and that pass ``conv_legal_mask``, with their eight GEMM-derived
+CONV columns ``kt kb u cs cl cg vec db``, those columns' log features and
+each row's block/thread tile (``ml``, ``ms``).  A query then only
+factorizes the base's few distinct tiles (25 on the shipped spaces) and
+gathers the six split columns ``nb pb qb nt pt qt``
+(:func:`_generate_bucket`); the other eight columns and their log
+features are the base's, shared by reference.  The result is cached per
+*canonical bucket*: the factorization reads the batch only as
+``min(next_pow2(n), ml)`` and the width only as
+``min(next_pow2(q), ml // nb)`` (legality reads only the dtype), so
+:func:`conv_bucket_key` clamps both extents to what the largest block
+tile can tell apart: every shape with the same tile factorization shares
+one candidate set, at most 45 per (device, dtype).  Both paths produce
+bit-identical (configs, matrix) results in identical order; the proof is
+in :func:`_build_base`.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from repro.core.config import ConvConfig, GemmConfig
 from repro.core.legality import conv_legal_mask, is_legal_conv
 from repro.core.space import CONV_SPACE, GEMM_SPACE
-from repro.core.types import ConvShape
+from repro.core.types import ConvShape, DType
 from repro.gpu.device import DeviceSpec
 from repro.inference.search import (
     CandidateRecord,
@@ -46,6 +54,17 @@ from repro.inference.search import (
     legal_configs,
     legal_record,
 )
+from repro.sampling.features import config_matrix_from_params
+
+#: The CONV columns a tile factorization sets, in :func:`factorize_tile`
+#: order.
+_SPLIT = ("nb", "pb", "qb", "nt", "pt", "qt")
+
+#: The other eight CONV columns, each a GEMM column taken unchanged.
+_FROM_GEMM = {
+    "kt": "ns", "kb": "nl", "u": "u", "cs": "ks", "cl": "kl", "cg": "kg",
+    "vec": "vec", "db": "db",
+}
 
 
 def _next_pow2(x: int) -> int:
@@ -82,28 +101,14 @@ def conv_config_from_gemm(
     g: GemmConfig, shape: ConvShape
 ) -> ConvConfig | None:
     """Project one implicit-GEMM tile onto the 5-D CONV parameterization."""
-    cg_vals = CONV_SPACE.values("cg")
-    if g.kg not in cg_vals:
+    if g.kg not in CONV_SPACE.values("cg"):
         return None
     factors = factorize_tile(g.ml, g.ms, shape)
     if factors is None:
         return None
-    nb, pb, qb, nt, pt, qt = factors
     return ConvConfig(
-        kt=g.ns,
-        pt=pt,
-        qt=qt,
-        nt=nt,
-        kb=g.nl,
-        pb=pb,
-        qb=qb,
-        nb=nb,
-        u=g.u,
-        cs=g.ks,
-        cl=g.kl,
-        cg=g.kg,
-        vec=g.vec,
-        db=g.db,
+        **{c: getattr(g, src) for c, src in _FROM_GEMM.items()},
+        **dict(zip(_SPLIT, factors)),
     )
 
 
@@ -139,11 +144,40 @@ def conv_candidates(
 
 
 # ----------------------------------------------------------------------
-# Vectorized generation, cached per pow2 bucket
+# Vectorized generation: one base per (device, dtype), one bucket per
+# tile factorization
 # ----------------------------------------------------------------------
 
-#: Generated CONV candidate sets, shared by every search over the same
-#: bucket (device, dtype, canonical batch and width extents).
+@dataclass
+class _ConvBase:
+    """What every CONV bucket of one (device, dtype) shares.
+
+    Rows are the base's candidates in GEMM enumeration order.  Cached in
+    a :class:`KeyedRecordCache` beside the candidate records, so it is
+    built once and always ready.
+    """
+
+    #: The eight GEMM-derived CONV columns (``_FROM_GEMM``).
+    params: dict[str, np.ndarray]
+    #: Their log-feature columns.
+    logs: dict[str, np.ndarray]
+    #: The distinct (ml, ms) block/thread tiles, one row each.
+    tiles: np.ndarray
+    #: Each candidate's row in ``tiles``.
+    tile_of: np.ndarray
+    space_params: tuple
+
+    ready: ClassVar[bool] = True
+
+    def materialize(self) -> "_ConvBase":
+        return self
+
+
+#: One :class:`_ConvBase` per (device, dtype).
+_BASE_CACHE = KeyedRecordCache()
+
+#: CONV candidate sets, shared by every search over the same bucket
+#: (device, dtype, canonical batch and width extents).
 _BUCKET_CACHE = KeyedRecordCache()
 
 
@@ -152,9 +186,77 @@ def _bucket_space_params() -> tuple:
 
     Buckets are projected from the GEMM survivor set and constrained by
     CONV_SPACE (the ``cg`` membership test and the legality mask), so a
-    record persisted before an edit to *either* space must regenerate.
+    base or bucket built before an edit to *either* space must rebuild.
     """
     return GEMM_SPACE.params + CONV_SPACE.params
+
+
+def _is_pow2(col: np.ndarray) -> np.ndarray:
+    return (col > 0) & (col & (col - 1) == 0)
+
+
+def _build_base(device: DeviceSpec, dtype: DType) -> _ConvBase:
+    """The rows, in order, that every bucket of (device, dtype) holds.
+
+    Per bucket, :func:`conv_candidates` keeps a GEMM row when ``kg`` is a
+    CONV ``cg`` value, its tile factorizes, its CONV row is new and that
+    row is legal.  For powers of two ``ml`` and ``ms`` only the first
+    test and legality can drop a row, and neither reads the bucket:
+
+    * *The factorization never fails.*  ``nb = min(n', ml)`` divides
+      ``ml``, ``qb = min(q', ml/nb)`` divides ``ml/nb``, ``nt = min(ms,
+      nb)`` divides ``ms`` and ``qt = min(ms/nt, qb)`` divides
+      ``ms/nt``, so ``nb·pb·qb = ml`` and ``nt·pt·qt = ms``.  And
+      ``pt <= pb``: ``pt`` is 1 unless ``ms > nb·qb``, and then
+      ``pt = ms/(nb·qb) <= ml/(nb·qb) = pb``, because GEMM legality has
+      ``ms | ml``.  Each thread split is a power of two no larger than
+      its block split, so it divides it.
+    * *Legality reads the split only through products.*
+      ``conv_legal_mask`` reads ``ml = nb·pb·qb``, ``ms = nt·pt·qt``
+      and ``threads = (kb/kt)(pb/pt)(qb/qt)(nb/nt)·cl = (kb/kt)(ml/ms)·cl``
+      (every quotient exact), besides the eight GEMM-derived columns.
+      So one split decides it for all buckets: here, that of
+      ``n = q = 1``, all of ``ml`` in ``pb`` and all of ``ms`` in ``pt``.
+    * *Dedup removes nothing.*  The products recover the GEMM tile, so
+      two CONV rows of one bucket that agree on all 14 columns come from
+      one GEMM row, and the enumeration's rows are distinct.
+
+    So a bucket is the base's rows, in GEMM order, with its own split.
+    Raises ValueError if a space edit breaks the precondition (a
+    non-power-of-two ``ml`` or ``ms``).
+    """
+    g = legal_record(device, dtype, "gemm", GEMM_SPACE).params
+    rows = np.flatnonzero(np.isin(g["kg"], CONV_SPACE.values("cg")))
+    ml, ms = g["ml"][rows], g["ms"][rows]
+    if not (_is_pow2(ml) & _is_pow2(ms) & (ml % ms == 0)).all():
+        raise ValueError(
+            "CONV buckets derive from GEMM tiles whose ml and ms are "
+            "powers of two with ms | ml; GEMM_SPACE breaks that"
+        )
+    cols = {c: g[src][rows] for c, src in _FROM_GEMM.items()}
+    one = np.ones_like(ml)
+    split = dict(zip(_SPLIT, (one, ml, one, one, ms, one)))
+    keep = np.flatnonzero(conv_legal_mask(device, cols | split, dtype))
+    params = {c: np.ascontiguousarray(col[keep]) for c, col in cols.items()}
+    # One int64 per (ml, ms): a 1-D unique is ~30x faster than axis=0.
+    packed, tile_of = np.unique(ml[keep] << 32 | ms[keep], return_inverse=True)
+    return _ConvBase(
+        params=params,
+        logs={
+            c: config_matrix_from_params(params, (c,)).ravel() for c in params
+        },
+        tiles=np.column_stack(divmod(packed, 1 << 32)),
+        tile_of=tile_of,
+        space_params=_bucket_space_params(),
+    )
+
+
+def _conv_base(device: DeviceSpec, dtype: DType) -> _ConvBase:
+    return _BASE_CACHE.get(
+        (device.name, dtype.name),
+        lambda: _build_base(device, dtype),
+        validate=lambda b: b.space_params == _bucket_space_params(),
+    )
 
 
 def _canonical_extents(n: int, q: int) -> tuple[int, int]:
@@ -193,79 +295,44 @@ def conv_bucket_key(
     )
 
 
-def _dedup_first_rows(cols: dict[str, np.ndarray]) -> np.ndarray:
-    """Indices of first occurrences of unique rows, in original order.
-
-    Matches the scalar loop's ``seen``-set semantics.  Every column is a
-    power of two <= 2**15, so a row packs into one int64 of 4-bit
-    exponents — ``np.unique`` on that key is ~20x cheaper than on a 2-D
-    row view.  Anything wider falls back to the row-wise unique.
-    """
-    names = ConvConfig.param_names()
-    packable = all(
-        (cols[n] > 0).all()
-        and (cols[n] & (cols[n] - 1) == 0).all()
-        and cols[n].max(initial=1) <= 1 << 15
-        for n in names
-    )
-    if packable:
-        key = np.zeros(len(cols[names[0]]), dtype=np.int64)
-        for n in names:
-            key = (key << 4) | np.log2(cols[n]).astype(np.int64)
-        _, first = np.unique(key, return_index=True)
-    else:
-        rows = np.column_stack([cols[n] for n in names])
-        _, first = np.unique(rows, axis=0, return_index=True)
-    first.sort()
-    return first
+_NAMES = ConvConfig.param_names()
 
 
 def _generate_bucket(
     device: DeviceSpec, shape: ConvShape
 ) -> CandidateRecord:
-    """Vectorized :func:`conv_candidates` over the GEMM survivor columns."""
-    gemm_rec = legal_record(device, shape.dtype, "gemm")
-    g = gemm_rec.params
-    if g is None:
-        # The GEMM set came from the scalar fallback (op registered no
-        # legal_mask / columns): generate scalar-wise too.
-        configs = conv_candidates(device, shape)
-        return CandidateRecord(op="conv", params=None, configs=configs)
+    """Vectorized :func:`conv_candidates`: the base with this split.
 
-    # conv_config_from_gemm, over columns: cg must be a CONV_SPACE value
-    # (all powers of two, so membership is a range test on the exponent
-    # domain — isin keeps it literal), then the batch-first factorization.
-    cg_vals = np.asarray(CONV_SPACE.values("cg"), dtype=np.int64)
-    ok = np.isin(g["kg"], cg_vals)
-
-    np2n = _next_pow2(shape.n)
-    np2q = _next_pow2(shape.q)
-    nb = np.minimum(np2n, g["ml"])
-    rest = g["ml"] // nb
-    qb = np.minimum(np2q, rest)
-    pb = rest // qb
-    ok &= nb * pb * qb == g["ml"]
-
-    nt = np.minimum(g["ms"], nb)
-    rest_t = g["ms"] // nt
-    qt = np.minimum(rest_t, qb)
-    pt = rest_t // qt
-    ok &= (nt * pt * qt == g["ms"]) & (pt <= pb)
-
-    vi = np.flatnonzero(ok)
-    cols = {
-        "kt": g["ns"][vi], "pt": pt[vi], "qt": qt[vi], "nt": nt[vi],
-        "kb": g["nl"][vi], "pb": pb[vi], "qb": qb[vi], "nb": nb[vi],
-        "u": g["u"][vi], "cs": g["ks"][vi], "cl": g["kl"][vi],
-        "cg": g["kg"][vi], "vec": g["vec"][vi], "db": g["db"][vi],
+    Only the six split columns are computed: :func:`factorize_tile` per
+    distinct tile of the base, taken to its rows.  The eight
+    GEMM-derived columns are the base's arrays, and their log features
+    are copied from the base into the 14-column matrix.  Every value is
+    a power of two, whose log2 is exact, so the matrix holds the bits
+    the op's ``config_matrix_from_params`` builds.
+    """
+    base = _conv_base(device, shape.dtype)
+    split = np.array(
+        [factorize_tile(int(ml), int(ms), shape) for ml, ms in base.tiles],
+        dtype=np.int64,
+    ).reshape(len(base.tiles), len(_SPLIT))
+    cols = base.params | {
+        name: np.take(split[:, j], base.tile_of)
+        for j, name in enumerate(_SPLIT)
     }
-    first = _dedup_first_rows(cols)
-    deduped = {n: c[first] for n, c in cols.items()}
-    legal = conv_legal_mask(device, deduped, shape.dtype)
-    li = np.flatnonzero(legal)
-    params = {n: np.ascontiguousarray(c[li]) for n, c in deduped.items()}
+    # Each tile's split log features, in matrix columns, taken to the
+    # rows; then the base's eight columns fill the rest.
+    table = np.zeros((len(base.tiles), len(_NAMES)))
+    table[:, [_NAMES.index(c) for c in _SPLIT]] = config_matrix_from_params(
+        dict(zip(_SPLIT, split.T)), _SPLIT
+    )
+    matrix = np.take(table, base.tile_of, axis=0)
+    for c, col in base.logs.items():
+        matrix[:, _NAMES.index(c)] = col
     return CandidateRecord(
-        op="conv", params=params, space_params=_bucket_space_params()
+        op="conv",
+        params={n: cols[n] for n in _NAMES},
+        matrix=matrix,
+        space_params=base.space_params,
     )
 
 
@@ -276,60 +343,23 @@ def conv_candidates_batch(
 
     Bit-identical to ``conv_candidates`` followed by the op's
     ``config_matrix`` (same candidates, same order, same float64 bits),
-    but generated as array arithmetic and shared by every shape with the
-    same :func:`conv_bucket_key`.  Thread-safe: concurrent queries
-    generate each bucket once.
+    but derived as array arithmetic from the (device, dtype) base and
+    shared by every shape with the same :func:`conv_bucket_key`.
+    Thread-safe: concurrent queries build the base and each bucket once.
     """
-    key = conv_bucket_key(device, shape)
     rec = _BUCKET_CACHE.get(
-        key,
+        conv_bucket_key(device, shape),
         lambda: _generate_bucket(device, shape),
-        # Buckets persisted before a GEMM_SPACE/CONV_SPACE edit must
-        # regenerate — their contents derive from both spaces.
-        validate=lambda r: (
-            r.space_params is None
-            or r.space_params == _bucket_space_params()
-        ),
+        # A bucket built before a GEMM_SPACE/CONV_SPACE edit must
+        # rebuild — its contents derive from both spaces.
+        validate=lambda r: r.space_params == _bucket_space_params(),
     )
     if not rec.configs:
         raise RuntimeError(f"no CONV candidate for {shape} on {device.name}")
     return rec.configs, rec.matrix
 
 
-def canonical_bucket_key(key: Sequence) -> tuple[str, str, str, int, int]:
-    """The key a stored bucket record is cached and looked up under.
-
-    A record saved under an older, finer key (one per pow2 extent pair)
-    maps to the key of its tile factorization; a canonical key maps to
-    itself.
-    """
-    op, device, dtype, n, q = key
-    return (op, device, dtype, *_canonical_extents(n, q))
-
-
-def seed_bucket_record(
-    key: Hashable,
-    params: Mapping[str, np.ndarray],
-    space_params: tuple | None = None,
-) -> bool:
-    """Publish a stored bucket (candidate-store load); True if kept.
-
-    The record is seeded under its canonical key, which is the only key
-    searches look up; when that key is already held, the duplicate is
-    dropped.
-    """
-    return _BUCKET_CACHE.seed(
-        canonical_bucket_key(key),
-        CandidateRecord(
-            op="conv", params=dict(params), space_params=space_params
-        ),
-    )
-
-
-def bucket_cache_snapshot() -> dict[Hashable, CandidateRecord]:
-    """Current bucket records (for the on-disk candidate store)."""
-    return _BUCKET_CACHE.snapshot()
-
-
 def clear_bucket_cache() -> None:
+    """Drop every CONV base and bucket."""
+    _BASE_CACHE.clear()
     _BUCKET_CACHE.clear()

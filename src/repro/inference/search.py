@@ -159,6 +159,8 @@ class CandidateRecord:
 class KeyedRecordCache:
     """A thread-safe map of :class:`CandidateRecord` built once per key.
 
+    Any record with ``ready`` and ``materialize()`` fits (CONV keeps its
+    per-(device, dtype) base in one).
     Concurrent callers of the same key elect one builder (per-key locks);
     different keys build in parallel.  ``seed`` publishes a params-only
     record (e.g. loaded from the on-disk candidate store) without racing

@@ -707,10 +707,12 @@ class Engine:
 
         Fits are serialized once per (device, op) — this loads any still
         lazy tuner, which is intended: worker boot is serve start.  The
-        candidate caches and every ``H0`` term the hot searches have
+        cached enumerations and every ``H0`` term the hot searches have
         prescaled export as named arrays destined for one shared-memory
         segment (see :class:`~repro.core.soa.SharedArrayPack`); the
         metadata references arrays by name only, so it stays pipe-sized.
+        CONV buckets do not ship: a worker derives them from the GEMM
+        enumeration and adopts their ``H0`` by key.
         """
         from repro.core.candidate_store import collect_cache_records
         from repro.mlp.serialize import fit_to_bytes
@@ -724,7 +726,7 @@ class Engine:
             )
         arrays: dict[str, np.ndarray] = {}
         records: list[dict] = []
-        for i, (kind, key, op, space, params) in enumerate(
+        for i, (key, op, space, params) in enumerate(
             collect_cache_records()
         ):
             columns = {}
@@ -733,8 +735,7 @@ class Engine:
                 arrays[aname] = np.asarray(col)
                 columns[pname] = aname
             records.append({
-                "kind": kind, "key": key, "op": op, "space": space,
-                "columns": columns,
+                "key": key, "op": op, "space": space, "columns": columns,
             })
         prescaled: list[dict] = []
         cascade: list[dict] = []
@@ -1337,9 +1338,11 @@ class WorkerEngine:
     """The worker-process side of the sharded serving tier.
 
     A slim, single-process searcher rebuilt from a :class:`WorkerState`
-    export: it seeds the candidate caches with zero-copy shared-memory
+    export: it seeds the enumeration cache with zero-copy shared-memory
     views, restores each (device, op) tuner from its fit bytes, adopts
-    the parent's prescaled ``H0`` terms, and answers batched searches.
+    the parent's prescaled ``H0`` terms (a CONV bucket's by key, for the
+    bucket it derives from the GEMM enumeration), and answers batched
+    searches.
     It keeps **no caches of its own** — the parent's LRU/profile levels
     stay authoritative and only misses are shipped here, so worker
     results are config-identical to the in-process path (same fit bytes,
@@ -1372,8 +1375,7 @@ class WorkerEngine:
                 p: views[name] for p, name in rec["columns"].items()
             }
             if seed_cache_record(
-                rec["kind"], tuple(rec["key"]), rec["op"], params,
-                rec["space"],
+                tuple(rec["key"]), rec["op"], params, rec["space"]
             ):
                 self.seeded_records += 1
         self._tuners: dict[tuple[str, str], Isaac] = {}

@@ -48,16 +48,20 @@ class TestCandidateStore:
         assert loaded == configs
         assert np.array_equal(loaded_matrix, matrix)
 
-    def test_conv_bucket_round_trip(self, tmp_path, monkeypatch):
+    def test_conv_buckets_derive_from_the_stored_enumeration(
+        self, tmp_path, monkeypatch
+    ):
+        """Only the GEMM enumeration is stored; a fresh process derives
+        the CONV bucket from it, bit-identical, without enumerating."""
         shape = ConvShape.from_output(
             n=4, p=14, q=14, k=64, c=128, r=3, s=3
         )
         cfgs, matrix = conv_search.conv_candidates_batch(GTX_980_TI, shape)
         store = CandidateStore(tmp_path / "candidates")
-        saved = store.save()
-        assert saved == 2  # the gemm enumeration + the conv bucket
+        assert store.save() == 1  # the gemm enumeration, no conv bucket
+        assert [p.name.split("--")[0] for p in store.files()] == ["enum"]
         search.clear_cache()
-        assert store.load() == 2
+        assert store.load() == 1
         _forbid_enumeration(monkeypatch)
         loaded, loaded_matrix = conv_search.conv_candidates_batch(
             GTX_980_TI, shape
@@ -130,43 +134,36 @@ class TestCandidateStore:
                                         edited)
         assert again == fresh
 
-    def test_superseded_conv_file_is_not_hashed_and_save_drops_it(
+    def test_conv_bucket_file_not_hashed_and_dropped(
         self, tmp_path, monkeypatch
     ):
-        """A record stored under its canonical key and under the older
-        pow2 key: load() hashes one file, and save() then leaves only
-        the canonical file and its digest sidecar."""
-        shape = ConvShape.from_output(n=32, p=14, q=128, k=64, c=128, r=3,
+        """A ``conv-bucket`` record from an older store: load() skips it
+        on its ``__meta__`` without hashing it or seeding anything, and
+        save() removes it and its digest sidecar."""
+        import json
+
+        shape = ConvShape.from_output(n=32, p=14, q=8, k=64, c=128, r=3,
                                       s=3)
         conv_search.conv_candidates_batch(GTX_980_TI, shape)
         key = conv_search.conv_bucket_key(GTX_980_TI, shape)
-        assert key[3:] == (32, 8)
-        rec = conv_search.bucket_cache_snapshot()[key]
-        store = CandidateStore(tmp_path)
-        for stored in (key[:3] + (32, 128), key):
-            store._write(
-                tmp_path / store._filename("conv-bucket", stored),
-                "conv-bucket", stored, "conv", rec.params, rec.space_params,
-            )
+        columns = conv_search._BUCKET_CACHE.peek(key).params
+        old = tmp_path / "conv-bucket--conv--gtx-980-ti--fp32--32--8.npz"
+        meta = {"version": candidate_store._VERSION, "kind": "conv-bucket",
+                "op": "conv", "key": list(key), "space": None}
+        np.savez(old, __meta__=np.array(json.dumps(meta)), **columns)
+        integrity.write_digest(old)
+        assert len(list(tmp_path.iterdir())) == 2  # record + sidecar
         search.clear_cache()
         hashed = []
-        check = integrity.check
-
-        def spy(path):
-            hashed.append(path.name)
-            return check(path)
-
-        monkeypatch.setattr(integrity, "check", spy)
-        assert store.load() == 1
-        canonical = tmp_path / store._filename("conv-bucket", key)
-        assert hashed == [canonical.name]
-        assert set(conv_search.bucket_cache_snapshot()) == {key}
+        monkeypatch.setattr(integrity, "check", hashed.append)
+        store = CandidateStore(tmp_path)
+        assert store.load() == 0
+        assert hashed == []
+        assert search.enum_cache_snapshot() == {}
+        assert conv_search._BUCKET_CACHE.snapshot() == {}
 
         assert store.save() == 0
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-            [canonical.name, integrity.digest_path(canonical).name]
-        )
-        assert check(canonical) is True
+        assert list(tmp_path.iterdir()) == []
 
     def test_file_of_another_version_is_not_hashed(self, tiny_space,
                                                    tmp_path, monkeypatch):

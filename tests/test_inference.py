@@ -330,33 +330,6 @@ class TestConvBuckets:
         assert first == scalar
         assert np.array_equal(first_mat, conv_config_matrix(scalar, log=True))
 
-    def test_store_seeds_pre_change_key_under_canonical_key(self, tmp_path):
-        """Records saved under the finer pow2 keys load under the
-        canonical key; the second one for the same key is a duplicate."""
-        from repro.core.candidate_store import CandidateStore
-        from repro.inference.conv_search import (
-            bucket_cache_snapshot,
-            clear_bucket_cache,
-        )
-
-        shape = ConvShape.from_output(n=32, p=14, q=128, k=64, c=128, r=3, s=3)
-        cfgs, matrix = conv_candidates_batch(GTX_980_TI, shape)
-        key = conv_bucket_key(GTX_980_TI, shape)
-        assert key[3:] == (32, 8)
-        rec = bucket_cache_snapshot()[key]
-        store = CandidateStore(tmp_path)
-        for old in (key[:3] + (32, 128), key[:3] + (32, 64)):
-            store._write(
-                tmp_path / store._filename("conv-bucket", old),
-                "conv-bucket", old, "conv", rec.params, rec.space_params,
-            )
-        clear_bucket_cache()
-        assert store.load() == 1
-        assert set(bucket_cache_snapshot()) == {key}
-        loaded, loaded_matrix = conv_candidates_batch(GTX_980_TI, shape)
-        assert loaded == cfgs
-        assert np.array_equal(loaded_matrix, matrix)
-
     def test_same_bucket_shares_candidate_set(self):
         same = ConvShape.from_output(n=3, p=20, q=13, k=32, c=64, r=3, s=3)
         first, _ = conv_candidates_batch(GTX_980_TI, self.SHAPE)
@@ -391,6 +364,188 @@ class TestConvBuckets:
         a = search.candidates(self.SHAPE)
         b = search.candidates(same)
         assert a[0] is b[0]
+
+
+def _generated_per_bucket(device, shape):
+    """One bucket as it was generated before the (device, dtype) base:
+    cg membership, the batch-first factorization, the packed-exponent
+    dedup and conv_legal_mask, all over the whole GEMM survivor set.
+    Kept as the oracle the derived buckets must equal."""
+    from repro.core.config import ConvConfig
+    from repro.core.legality import conv_legal_mask
+    from repro.core.ops import get_op
+    from repro.core.space import CONV_SPACE
+    from repro.inference.search import legal_record
+
+    g = legal_record(device, shape.dtype, "gemm").params
+    cg_vals = np.asarray(CONV_SPACE.values("cg"), dtype=np.int64)
+    ok = np.isin(g["kg"], cg_vals)
+    np2n = 1 << max(0, (shape.n - 1).bit_length())
+    np2q = 1 << max(0, (shape.q - 1).bit_length())
+    nb = np.minimum(np2n, g["ml"])
+    rest = g["ml"] // nb
+    qb = np.minimum(np2q, rest)
+    pb = rest // qb
+    ok &= nb * pb * qb == g["ml"]
+    nt = np.minimum(g["ms"], nb)
+    rest_t = g["ms"] // nt
+    qt = np.minimum(rest_t, qb)
+    pt = rest_t // qt
+    ok &= (nt * pt * qt == g["ms"]) & (pt <= pb)
+    vi = np.flatnonzero(ok)
+    cols = {
+        "kt": g["ns"][vi], "pt": pt[vi], "qt": qt[vi], "nt": nt[vi],
+        "kb": g["nl"][vi], "pb": pb[vi], "qb": qb[vi], "nb": nb[vi],
+        "u": g["u"][vi], "cs": g["ks"][vi], "cl": g["kl"][vi],
+        "cg": g["kg"][vi], "vec": g["vec"][vi], "db": g["db"][vi],
+    }
+    names = ConvConfig.param_names()
+    key = np.zeros(len(vi), dtype=np.int64)
+    for n in names:
+        assert ((cols[n] & (cols[n] - 1)) == 0).all()
+        assert cols[n].max() <= 1 << 15  # packs into 4 bits
+        key = (key << 4) | np.log2(cols[n]).astype(np.int64)
+    _, first = np.unique(key, return_index=True)
+    first.sort()
+    deduped = {n: c[first] for n, c in cols.items()}
+    li = np.flatnonzero(conv_legal_mask(device, deduped, shape.dtype))
+    params = {n: np.ascontiguousarray(deduped[n][li]) for n in names}
+    return params, get_op("conv").config_matrix_from_params(params, log=True)
+
+
+def _conv(n, q, dtype=DType.FP32):
+    return ConvShape.from_output(
+        n=n, p=7, q=q, k=64, c=64, r=3, s=3, dtype=dtype
+    )
+
+
+#: The 45 canonical (n', q') extents of L = 256.
+_EXTENTS = [
+    (1 << a, 1 << b) for a in range(9) for b in range(9) if a + b <= 8
+]
+
+
+class TestConvBase:
+    """Buckets derived from the (device, dtype) base, held to the old
+    per-bucket generation and the scalar reference."""
+
+    @staticmethod
+    def _assert_equal_the_old_generation(device, dtype, extents):
+        from repro.inference.conv_search import _generate_bucket
+
+        def check(extent):
+            shape = _conv(*extent, dtype)
+            rec = _generate_bucket(device, shape).materialize()
+            params, matrix = _generated_per_bucket(device, shape)
+            assert list(rec.params) == list(params)
+            for name, col in params.items():
+                assert rec.params[name].dtype == col.dtype
+                assert np.array_equal(rec.params[name], col), (extent, name)
+            assert rec.matrix.dtype == matrix.dtype
+            assert rec.matrix.shape == matrix.shape
+            assert rec.matrix.flags.c_contiguous
+            assert np.array_equal(
+                rec.matrix.view(np.uint64), matrix.view(np.uint64)
+            ), extent
+
+        # numpy releases the GIL in the heavy passes, so two threads
+        # take ~40% off the wall time on two CPUs.
+        with ThreadPoolExecutor(2) as pool:
+            list(pool.map(check, extents, timeout=600))
+
+    def test_every_p100_fp32_bucket_equals_the_old_generation(self):
+        assert len(_EXTENTS) == 45
+        self._assert_equal_the_old_generation(
+            TESLA_P100, DType.FP32, _EXTENTS
+        )
+
+    @pytest.mark.parametrize(
+        "device,dtype",
+        [
+            pytest.param(device, dtype, id=f"{arch}-{dtype.name}")
+            for arch, device in (("maxwell", GTX_980_TI),
+                                 ("pascal", TESLA_P100))
+            for dtype in DType
+            if (device, dtype) != (TESLA_P100, DType.FP32)
+        ],
+    )
+    def test_other_pairs_equal_the_old_generation(self, device, dtype):
+        self._assert_equal_the_old_generation(
+            device, dtype, [(1, 256), (8, 8), (256, 1)]
+        )
+
+    def test_bucket_derived_after_the_base_matches_scalar(self):
+        from repro.inference.conv_search import clear_bucket_cache
+        from repro.sampling.features import conv_config_matrix
+
+        clear_bucket_cache()
+        # FP64: the smallest set, so the scalar loop stays short.
+        conv_candidates_batch(GTX_980_TI, _conv(1, 1, DType.FP64))  # base
+        shape = _conv(16, 4, DType.FP64)
+        cfgs, matrix = conv_candidates_batch(GTX_980_TI, shape)
+        scalar = conv_candidates(GTX_980_TI, shape)
+        assert cfgs == scalar
+        assert np.array_equal(matrix, conv_config_matrix(scalar, log=True))
+
+    def test_buckets_share_the_gemm_derived_columns(self):
+        from repro.inference.conv_search import _generate_bucket
+
+        a = _generate_bucket(GTX_980_TI, _conv(1, 1))
+        b = _generate_bucket(GTX_980_TI, _conv(32, 8))
+        for name in ("kt", "kb", "u", "cs", "cl", "cg", "vec", "db"):
+            assert np.shares_memory(a.params[name], b.params[name]), name
+        for name in ("nb", "pb", "qb", "nt", "pt", "qt"):
+            assert not np.shares_memory(a.params[name], b.params[name])
+        assert not np.array_equal(a.params["nb"], b.params["nb"])
+
+    def test_concurrent_first_requests_build_the_base_once(
+        self, monkeypatch
+    ):
+        from repro.inference import conv_search
+
+        calls = []
+        build = conv_search._build_base
+
+        def spy(device, dtype):
+            calls.append((device.name, dtype.name))
+            time.sleep(0.05)  # hold the build open while the other waits
+            return build(device, dtype)
+
+        monkeypatch.setattr(conv_search, "_build_base", spy)
+        conv_search.clear_bucket_cache()
+        # More threads than CPUs, one new bucket each.
+        shapes = [_conv(1, 2), _conv(2, 2), _conv(16, 1), _conv(64, 4)]
+        barrier = threading.Barrier(len(shapes), timeout=30)
+
+        def first_request(shape):
+            barrier.wait()
+            return conv_candidates_batch(GTX_980_TI, shape)[1]
+
+        with ThreadPoolExecutor(len(shapes)) as pool:
+            mats = list(pool.map(first_request, shapes, timeout=120))
+        assert calls == [(GTX_980_TI.name, "FP32")]
+        for i, a in enumerate(mats):
+            for b in mats[i + 1:]:
+                assert not np.array_equal(a, b)
+
+    def test_non_power_of_two_space_value_makes_the_base_raise(
+        self, monkeypatch
+    ):
+        from dataclasses import replace
+
+        from repro.core.space import GEMM_SPACE
+        from repro.inference import conv_search
+
+        # ml = 48 with ms = 3 keeps GEMM-legal rows (48 = 3 * 16).
+        npot = {"ml": (48,), "ms": (3,)}
+        edited = replace(
+            GEMM_SPACE,
+            name="gemm-npot",
+            params=tuple((n, npot.get(n, v)) for n, v in GEMM_SPACE.params),
+        )
+        monkeypatch.setattr(conv_search, "GEMM_SPACE", edited)
+        with pytest.raises(ValueError, match="powers of two"):
+            conv_candidates_batch(GTX_980_TI, _conv(4, 4))
 
 
 # ----------------------------------------------------------------------
