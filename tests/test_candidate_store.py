@@ -285,3 +285,41 @@ class TestEngineColdStart:
         with Engine.open(model_dir, max_workers=0) as engine:
             reply = engine.query(KernelRequest("gemm", second, k=5, reps=1))
         assert reply.source == "search"
+
+
+def test_worker_derives_conv_buckets_and_adopts_their_h0(small_conv_tuner):
+    """The worker pack ships enumerations only: a worker derives the conv
+    bucket from the GEMM enumeration and serves it with the parent's
+    ``H0``, adopted by bucket key."""
+    from repro.core.tuner import Isaac
+    from repro.gpu.device import TESLA_P100
+    from repro.service.engine import WorkerEngine
+
+    engine = Engine(max_workers=0)
+    engine.register(Isaac.from_fit(
+        TESLA_P100, "conv", small_conv_tuner.fit_result,
+        dtypes=small_conv_tuner.dtypes,
+    ))
+    shape = ConvShape.from_output(n=4, p=14, q=14, k=64, c=128, r=3, s=3)
+    want = engine.query(KernelRequest("conv", shape, k=8, reps=2))
+    state = engine.export_worker_state()
+    engine.close()
+    assert [rec["op"] for rec in state.records] == ["gemm"]
+    key = conv_search.conv_bucket_key(TESLA_P100, shape)
+    (h0,) = [
+        state.arrays[item["name"]] for item in state.prescaled
+        if tuple(item["key"]) == key
+    ]
+
+    conv_search.clear_bucket_cache()  # the worker derives its own bucket
+    worker = WorkerEngine(
+        state.fits, state.records, state.prescaled, state.arrays
+    )
+    ((ok, payload),) = worker.search_batch(
+        TESLA_P100.name, "conv", [shape], 8, 2
+    )
+    assert ok
+    assert payload[0] == want.config
+    assert payload[2] == want.measured_tflops
+    search_ = worker._tuners[(TESLA_P100.name, "conv")].searcher
+    assert search_._sets[key].h0 is h0
