@@ -19,12 +19,17 @@ This bench times both paths and asserts:
 * GEMM enumeration (``legal_configs``) is >= 10x the scalar walk
   (REPRO_BENCH_SMOKE=1 relaxes the floor to 4x for noisy CI runners);
 * first-query CONV candidate generation (configs + feature matrix:
-  the (device, dtype) base plus its first bucket) is >= 5x the scalar
-  loop (2.5x under smoke);
+  the (device, dtype) base plus its first bucket) is >= CONV_FLOOR x
+  the scalar loop (10x under smoke), so a 10x slower base build fails;
 * a new bucket once the base exists (a shape in a second tile
   factorization) is >= 3x faster than that first query (2x under
   smoke), so a return to generating every bucket from the GEMM set
   fails;
+* with a tiny-budget CONV fit and its cascade, the first search in a
+  new bucket takes at most 3x a search in a warm one (the median over
+  buckets the fit's calibration did not touch): a new bucket derives
+  its candidates and its split term, never a first-layer term of its
+  own, so a return to prescaling one per bucket fails;
 * the candidate sets and feature matrices are **bit-identical** to the
   scalar reference, in identical order;
 * a warmed :class:`~repro.core.candidate_store.CandidateStore` serves the
@@ -34,6 +39,7 @@ With ``--json`` the numbers land in ``BENCH_cold_start.json`` (repo root
 and benchmarks/results/), the machine-readable trajectory CI tracks.
 """
 
+import gc
 import os
 import tempfile
 import time
@@ -43,6 +49,7 @@ import numpy as np
 
 from repro.core.candidate_store import CandidateStore
 from repro.core.space import ParamSpace
+from repro.core.tuner import Isaac
 from repro.core.types import ConvShape, DType
 from repro.gpu.device import TESLA_P100
 from repro.inference import conv_search
@@ -55,8 +62,12 @@ from repro.sampling.features import conv_config_matrix
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 GEMM_FLOOR = 4.0 if SMOKE else 10.0
-CONV_FLOOR = 2.5 if SMOKE else 5.0
+CONV_FLOOR = 10.0 if SMOKE else 45.0
 NEW_BUCKET_FLOOR = 2.0 if SMOKE else 3.0
+#: Ceiling on (first search in a new bucket) / (search in a warm one).
+NEW_SEARCH_CEILING = 3.0
+#: Buckets the search ratio's median runs over.
+N_SEARCH_BUCKETS = 10
 
 CONV_SHAPE = ConvShape.from_output(n=4, p=14, q=14, k=64, c=128, r=3, s=3)
 #: A shape in another tile factorization than CONV_SHAPE's.
@@ -128,6 +139,33 @@ def test_bench_cold_start(results_recorder):
     conv_search.conv_candidates_batch(device, same_bucket)
     bucket_hit_ms = (time.perf_counter() - t0) * 1e3
 
+    # --- First search in a new bucket vs a search in a warm one ---------
+    # A tiny-budget fit, its cascade calibrated; each timed bucket is one
+    # neither the calibration nor the sections above touched, so its
+    # first search derives the bucket and its split term.
+    tuner = Isaac(device, op="conv", dtypes=(dtype,))
+    tuner.tune(n_samples=700, seed=5, epochs=12, generative_target=80)
+    search = tuner.searcher
+    seen = set(search._sets) | set(conv_search._BUCKET_CACHE.snapshot())
+    new_ms, warm_ms = [], []
+    for n, q in _bucket_extents():
+        shape = ConvShape.from_output(n=n, p=7, q=q, k=64, c=64, r=3, s=3)
+        if conv_search.conv_bucket_key(device, shape) in seen:
+            continue
+        warm = ConvShape.from_output(n=n, p=9, q=q, k=32, c=128, r=3, s=3)
+        for target, times in ((shape, new_ms), (warm, warm_ms)):
+            gc.collect()
+            t0 = time.perf_counter()
+            tuner.top_k(target, 50)
+            times.append((time.perf_counter() - t0) * 1e3)
+        if len(new_ms) == N_SEARCH_BUCKETS:
+            break
+    stats = search.cascade_stats
+    assert len(new_ms) == N_SEARCH_BUCKETS
+    assert stats.cascade_queries == 2 * N_SEARCH_BUCKETS, stats
+    ratios = np.array(new_ms) / np.array(warm_ms)
+    search_ratio = float(np.median(ratios))
+
     # --- Candidate store: a warmed directory never re-enumerates --------
     with tempfile.TemporaryDirectory() as tmp:
         store = CandidateStore(Path(tmp) / "candidates")
@@ -168,6 +206,10 @@ def test_bench_cold_start(results_recorder):
         f"{new_bucket_speedup:7.1f}x",
         f"{'store-warmed cold start':>38s} {'—':>10s} "
         f"{store_s:9.2f}s {'':>8s}",
+        f"{'CONV search, new bucket vs warm':>38s} "
+        f"{np.median(new_ms):8.1f}ms {np.median(warm_ms):8.1f}ms "
+        f"{search_ratio:7.2f}x (median of {len(ratios)} buckets, "
+        f"max {ratios.max():.2f}x)",
         f"candidates: gemm={len(cfgs)}, conv={len(conv_cfgs)}; "
         f"bit-identical to scalar: {gemm_identical and conv_identical} "
         f"(smoke={SMOKE})",
@@ -191,6 +233,9 @@ def test_bench_cold_start(results_recorder):
             "conv_new_bucket_s": new_bucket_s,
             "conv_new_bucket_speedup": new_bucket_speedup,
             "store_cold_start_s": store_s,
+            "conv_new_bucket_search_ms": new_ms,
+            "conv_warm_bucket_search_ms": warm_ms,
+            "conv_new_bucket_search_ratio": search_ratio,
             "bit_identical": bool(gemm_identical and conv_identical),
         },
     )
@@ -208,6 +253,17 @@ def test_bench_cold_start(results_recorder):
         f"a new CONV bucket only {new_bucket_speedup:.1f}x faster than "
         f"the first conv query (floor {NEW_BUCKET_FLOOR}x)"
     )
+    assert search_ratio <= NEW_SEARCH_CEILING, (
+        f"a search in a new CONV bucket takes {search_ratio:.2f}x one in "
+        f"a warm bucket (median; ceiling {NEW_SEARCH_CEILING}x)"
+    )
+
+
+def _bucket_extents():
+    """Batch and width extents, one per tile factorization, spread
+    over the 45 buckets of the shipped spaces."""
+    pairs = [(1 << a, 1 << b) for a in range(9) for b in range(9 - a)]
+    return pairs[::3] + pairs[1::3] + pairs[2::3]
 
 
 if __name__ == "__main__":

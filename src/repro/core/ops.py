@@ -12,7 +12,8 @@ bundles the per-operation ingredients that pipeline consumes:
 * a candidate supply for the runtime search — scalar (``candidates``)
   plus the array-native ``candidates_batch`` slot returning configs and
   their log-feature matrix from one cached, vectorized pass, with
-  ``candidate_key`` defining the cache bucket for per-shape generators;
+  ``candidate_key`` defining the cache bucket for per-shape generators
+  and ``candidate_groups`` the base those buckets share;
 * the simulator benchmark functions standing in for kernel launches —
   scalar and, for ops that register one, batched (``benchmark_many``
   evaluates N (config, shape) pairs per call through the array-core
@@ -91,9 +92,21 @@ class OpSpec:
     candidates_batch: Callable[..., tuple[list, np.ndarray]] | None = None
     #: Overrides :meth:`candidate_cache_key` for non-enumerable ops whose
     #: candidate set depends on the shape only through a coarser bucket
-    #: (CONV: the pow2 extents its tile factorization actually reads), so
-    #: searches share one candidate set across all shapes of a bucket.
+    #: (CONV: the canonical batch and width extents its tile
+    #: factorization can tell apart), so searches share one candidate set
+    #: across all shapes of a bucket.
     candidate_key: Callable[..., Hashable] | None = None
+    #: For ops whose candidate sets of one (device, dtype) all hold one
+    #: base's rows and differ only in config columns that depend on
+    #: nothing but each row's group:
+    #: ``candidate_groups(device, shape, space=None) -> (key, order,
+    #: starts, columns)`` — the base's key, the candidate index of each
+    #: row in group order, each group's first position in that order,
+    #: and the config-feature columns that vary by group.  The search
+    #: then prescales one first-layer term per base and only the varying
+    #: columns per set (CONV: one term per (device, dtype), six split
+    #: columns per bucket).  Ops without one are the one-group case.
+    candidate_groups: Callable[..., tuple] | None = None
     #: Vectorized feature extraction over struct-of-arrays columns:
     #: ``config_matrix_from_params(params, log=True) -> ndarray``,
     #: bit-identical to ``config_matrix`` over the same configs.  Set only
@@ -259,6 +272,12 @@ def _conv_candidate_key(device: DeviceSpec, shape, space=None) -> Hashable:
     return conv_bucket_key(device, shape)
 
 
+def _conv_candidate_groups(device: DeviceSpec, shape, space=None) -> tuple:
+    from repro.inference.conv_search import conv_candidate_groups
+
+    return conv_candidate_groups(device, shape)
+
+
 def _params_matrix(feature_names: tuple[str, ...]) -> Callable:
     from repro.sampling.features import config_matrix_from_params
 
@@ -371,6 +390,7 @@ def _make_conv_spec() -> OpSpec:
         legal_mask=conv_legal_mask,
         candidates_batch=_conv_candidates_batch,
         candidate_key=_conv_candidate_key,
+        candidate_groups=_conv_candidate_groups,
         config_matrix_from_params=_params_matrix(CONV_CONFIG_FEATURES),
     )
 

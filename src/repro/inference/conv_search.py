@@ -34,6 +34,14 @@ tile can tell apart: every shape with the same tile factorization shares
 one candidate set, at most 45 per (device, dtype).  Both paths produce
 bit-identical (configs, matrix) results in identical order; the proof is
 in :func:`_build_base`.
+
+The search scores every bucket of a base through one first-layer term.
+The base also keeps its rows in tile-group order (``order``, a stable
+sort by tile) and each group's first position there (``starts``), and
+:func:`conv_candidate_groups` hands both to the search
+(``OpSpec.candidate_groups``): the eight shared columns are prescaled
+once per (device, dtype, fit), and a bucket adds only its six split
+columns through the first layer, one row per tile group.
 """
 
 from __future__ import annotations
@@ -152,9 +160,11 @@ def conv_candidates(
 class _ConvBase:
     """What every CONV bucket of one (device, dtype) shares.
 
-    Rows are the base's candidates in GEMM enumeration order.  Cached in
-    a :class:`KeyedRecordCache` beside the candidate records, so it is
-    built once and always ready.
+    Rows are the base's candidates in GEMM enumeration order; a bucket
+    sets each row's six split columns from its tile alone, so the tile
+    groups are what the search scores with one constant each.  Cached
+    in a :class:`KeyedRecordCache` beside the candidate records, so it
+    is built once and always ready.
     """
 
     #: The eight GEMM-derived CONV columns (``_FROM_GEMM``).
@@ -163,8 +173,13 @@ class _ConvBase:
     logs: dict[str, np.ndarray]
     #: The distinct (ml, ms) block/thread tiles, one row each.
     tiles: np.ndarray
-    #: Each candidate's row in ``tiles``.
+    #: Each candidate's row in ``tiles``: its tile group.
     tile_of: np.ndarray
+    #: The candidates in tile-group order, stable (a stable argsort of
+    #: ``tile_of``): the row order of the search's first-layer term.
+    order: np.ndarray
+    #: Each group's first position in ``order``.
+    starts: np.ndarray
     space_params: tuple
 
     ready: ClassVar[bool] = True
@@ -240,6 +255,7 @@ def _build_base(device: DeviceSpec, dtype: DType) -> _ConvBase:
     params = {c: np.ascontiguousarray(col[keep]) for c, col in cols.items()}
     # One int64 per (ml, ms): a 1-D unique is ~30x faster than axis=0.
     packed, tile_of = np.unique(ml[keep] << 32 | ms[keep], return_inverse=True)
+    sizes = np.bincount(tile_of, minlength=len(packed))
     return _ConvBase(
         params=params,
         logs={
@@ -247,6 +263,8 @@ def _build_base(device: DeviceSpec, dtype: DType) -> _ConvBase:
         },
         tiles=np.column_stack(divmod(packed, 1 << 32)),
         tile_of=tile_of,
+        order=np.argsort(tile_of, kind="stable"),
+        starts=np.concatenate(([0], np.cumsum(sizes)[:-1])),
         space_params=_bucket_space_params(),
     )
 
@@ -296,6 +314,25 @@ def conv_bucket_key(
 
 
 _NAMES = ConvConfig.param_names()
+
+#: The split columns' positions in the config-feature matrix.
+_SPLIT_COLUMNS = tuple(_NAMES.index(c) for c in _SPLIT)
+
+
+def conv_candidate_groups(
+    device: DeviceSpec, shape: ConvShape
+) -> tuple[tuple[str, str, str], np.ndarray, np.ndarray, tuple[int, ...]]:
+    """How the search scores one shape's bucket: by its base's tile groups.
+
+    Every bucket of (device, dtype) holds the base's rows, and sets the
+    six split columns from each row's tile alone, so the search keeps
+    one first-layer term per base, keyed ``("conv", device, dtype)``,
+    with rows in the base's tile-group ``order``, and per bucket only
+    the split columns of each group (``OpSpec.candidate_groups``).
+    """
+    base = _conv_base(device, shape.dtype)
+    key = ("conv", device.name, shape.dtype.name)
+    return key, base.order, base.starts, _SPLIT_COLUMNS
 
 
 def _generate_bucket(

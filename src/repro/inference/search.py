@@ -11,49 +11,64 @@ the :mod:`~repro.core.ops` registry — any registered op plugs in here
 unchanged.
 
 The hot path is pre-scaled and batched.  The candidate feature matrix is
-standardized by the fit's x-scaler *once* and immediately folded through
-the MLP's first layer (the layer is affine, so the config and shape
-columns contribute additively):
+standardized by the fit's x-scaler and folded through the MLP's first
+layer (the layer is affine, so column blocks contribute additively)::
 
-    z1 = [Zc | Zs] @ W1 + b1 = (Zc @ W1c + b1) + Zs @ W1s
+    z1 = [Zc | Zs] @ W1 + b1 = (Za @ W1a + b1) + Zs @ W1s + Zt @ W1t
 
-The cached term ``H0 = Zc @ W1c + b1`` never changes between queries; one
-query only standardizes its shape-feature vector, adds the rank-one shape
-term, and runs the remaining layers chunk-wise through scratch buffers.
-:meth:`ExhaustiveSearch.top_k_batch` amortizes further by pushing many
-query shapes through each cache-resident chunk of ``H0``.
+Candidate sets come in *groups*: an op may declare
+(``OpSpec.candidate_groups``) that its sets of one (device, dtype) all
+hold one base's rows and differ only in a few config columns ``Zt``
+that depend on nothing but each row's group (CONV: the six split
+columns, one value per block/thread tile).  Each base then gets one
+cached term ``A = Za @ W1a + b1`` over its other columns, rows in group
+order, and each set only its split term ``T = Zt @ W1t``, one row per
+group.  A query at shape term ``h = Zs @ W1s`` scores row ``r`` of group
+``g`` from the first-layer input ``A[r] + (h + T[g])``: one per-(shape,
+group) constant added to every row of the group.  An op without groups
+is the one-group case: ``A`` is the whole prescaled matrix, ``T`` is
+absent and the constant is ``h``.  :meth:`ExhaustiveSearch.top_k_batch`
+amortizes further by pushing many query shapes — of any set of one
+base — through each cache-resident chunk of ``A``.
 
-Every full pass over a candidate set — stage 1 below, the exhaustive
-fallback, cascade calibration — splits its chunk loop into ``W``
-contiguous, chunk-aligned row ranges that run at once on one
+Every full pass over a term — stage 1 below, the exhaustive fallback,
+cascade calibration — walks one chunk grid: the multiples of
+``_CHUNK_ROWS`` cut at the group starts, so each chunk lies in one
+group and adds one constant.  The pass splits that walk into ``W``
+contiguous, grid-aligned row ranges that run at once on one
 process-wide thread pool (:mod:`repro.inference.partition`).  ``W`` is
 the process's BLAS thread budget, and BLAS runs one thread per scoring
 thread while the ranges run: a 2048-row chunk times a 32- or 64-wide
 layer is too small for a multi-threaded BLAS to pay off inside it, so
-the CPUs go across rows instead.  Each chunk keeps its rows and its BLAS
-call, so scores are bit-identical to the serial loop, which still runs
-when ``W`` is 1 — a worker process of the sharded tier, a process under
-``OPENBLAS_NUM_THREADS=1``, or a BLAS without a runtime thread control.
+the CPUs go across rows instead.  The chunks do not depend on ``W``, and
+each keeps its rows and its BLAS call, so scores are bit-identical to
+the serial walk, which still runs when ``W`` is 1 — a worker process of
+the sharded tier, a process under ``OPENBLAS_NUM_THREADS=1``, or a BLAS
+without a runtime thread control.
 
 Cold queries additionally run a **two-stage cascade**: stage 1 scores all
 candidates with the full model evaluated in float32 over a low-precision
-twin of ``H0``, keeps the ``cascade_keep`` best plus every candidate within
+twin of ``A``, keeps the ``cascade_keep`` best plus every candidate within
 ``2*delta`` of that threshold, and stage 2 re-scores only that shortlist
 in full float64 precision.  Stage 1 makes one elementwise pass per layer:
 with ReLU hidden layers, ``relu(x + c) = max(x, -c) + c`` turns each
-layer's shape term or bias into a per-shape threshold ``-c`` and carries
-``+c`` into the next layer, down to one constant added to the output
-(:class:`_Cascade`).  ``delta`` is a per-dtype margin calibrated
+layer's per-(shape, group) constant or bias into a threshold ``-c`` and
+carries ``+c`` into the next layer, down to one constant added to the
+output (:class:`_Cascade`).  ``delta`` is a per-dtype margin calibrated
 offline (:meth:`ExhaustiveSearch.calibrate_cascade`, persisted with the
 fit) bounding ``|full - proxy|``; because the proxy is the same network
 at reduced precision, ``delta`` is rounding-sized (~1e-6 standardized
 units) rather than model-sized, and under that bound the shortlist
 provably contains the exhaustive top-k — the cascade is bit-identical to
 the exhaustive search.  That needs stage 2's scores of a gathered
-shortlist to equal the exhaustive scores of the same rows bit for bit, so
-the float64 pass computes its width-1 output layer as a row-wise
-reduction (a BLAS product rounds a row differently depending on how many
-rows share the call) and scores a one-row chunk as two.  (Cheaper
+shortlist to equal the exhaustive scores of the same rows bit for bit.
+Both float64 passes form a row's first-layer input with the same single
+add of the same float64 values, ``A[r] + c[g]`` (the exhaustive pass
+broadcasts ``c[g]`` over a chunk, stage 2 gathers one ``c[g]`` per
+row), so they agree there; after it, the float64 pass computes its
+width-1 output layer as a row-wise reduction (a BLAS product rounds a
+row differently depending on how many rows share the call) and scores
+a one-row chunk as two.  (Cheaper
 stage-1 families — collapsed linear readouts, distilled students,
 certified interval bounds — were measured and rejected: their score
 error is orders of magnitude above the ~0.01-unit gap between the top-k
@@ -81,20 +96,16 @@ from repro.gpu.device import DeviceSpec
 from repro.inference.partition import map_rows
 from repro.mlp.crossval import CascadeCalibration, FitResult
 
-#: Rows per chunk of the folded evaluation: intermediates stay cache-resident
-#: (8192 x 64 float64 = 4 MiB) instead of streaming through DRAM.
-_CHUNK_ROWS = 8192
+#: Rows per chunk of every scoring pass, in both precisions: the whole
+#: layer stack's intermediates stay cache-resident (stage 1's float32
+#: ones L2-resident, measured ~13% faster than 8192-row chunks).
+#: Calibration and query time share this grid, so scores are
+#: bit-reproducible for a given term.
+_CHUNK_ROWS = 2048
 
 #: Cap on (query shapes x candidates) prediction elements materialized at
 #: once by top_k_batch (32M float64 = 256 MiB).
 _BATCH_BLOCK_ELEMS = 32_000_000
-
-#: Rows per chunk of the cascade's float32 stage 1.  Smaller than the
-#: float64 chunk: the half-width intermediates of the whole layer stack
-#: then stay L2-resident (measured ~13% faster than ``_CHUNK_ROWS``).
-#: Calibration and query time share this constant, so stage-1 scores are
-#: bit-reproducible for a given candidate set.
-_CASCADE_CHUNK = 2048
 
 #: Default stage-2 shortlist length (before margin widening); the engine
 #: and CLI expose it as ``cascade_keep``.
@@ -404,32 +415,42 @@ def clear_cache() -> None:
 
 def _score_chunks(
     h0: np.ndarray,
-    hs: Sequence,
+    starts: np.ndarray,
+    consts: Sequence[Sequence],
     out: np.ndarray,
-    chunk_rows: int,
     widths: Sequence[int],
     score_chunk: Callable,
 ) -> None:
-    """``out[b, rows] = score_chunk(h0[rows], hs[b])`` for every chunk.
+    """``out[b, rows] = score_chunk(h0[rows], consts[b][g])`` per chunk.
 
-    ``hs[b]`` is what the scorer precomputed for shape ``b`` (the shape
-    term, or stage 1's thresholds).  Chunks start at multiples of
-    ``chunk_rows``; each row range of
-    :func:`~repro.inference.partition.map_rows` owns one scratch buffer
-    per layer width (two rows at least, for the one-row pad) and scores
-    its chunks for every shape while they are cache-resident.
+    ``h0`` is a term's rows in group order, group ``g`` starting at row
+    ``starts[g]``; ``consts[b][g]`` is what the scorer precomputed for
+    shape ``b`` and group ``g`` (the float64 first-layer constant, or
+    stage 1's thresholds).  The chunks are the rows between consecutive
+    cuts, and the cuts are the multiples of ``_CHUNK_ROWS`` and the
+    group starts, so every chunk lies in one group.  The ranges of
+    :func:`~repro.inference.partition.map_rows` start on multiples of
+    ``_CHUNK_ROWS``, so a range adds no cut of its own: a row falls in
+    the same chunk at every scoring width.  Each range owns one scratch
+    buffer per layer width (two rows at least, for the one-row pad) and
+    scores its chunks for every shape while they are cache-resident.
     """
 
     def score_rows(lo: int, hi: int) -> None:
-        rows = max(2, min(hi - lo, chunk_rows))
+        rows = max(2, min(hi - lo, _CHUNK_ROWS))
         bufs = [np.empty((rows, w), dtype=out.dtype) for w in widths]
-        for c in range(lo, hi, chunk_rows):
-            e = min(hi, c + chunk_rows)
+        cuts = np.union1d(
+            np.arange(lo, hi, _CHUNK_ROWS),
+            starts[(starts > lo) & (starts < hi)],
+        )
+        groups = np.searchsorted(starts, cuts, side="right") - 1
+        ends = [*cuts[1:].tolist(), hi]
+        for c, e, g in zip(cuts.tolist(), ends, groups.tolist()):
             chunk = h0[c:e]
-            for b, h in enumerate(hs):
-                score_chunk(chunk, h, out[b, c:e], bufs)
+            for b, per_group in enumerate(consts):
+                score_chunk(chunk, per_group[g], out[b, c:e], bufs)
 
-    map_rows(len(h0), chunk_rows, score_rows)
+    map_rows(len(h0), _CHUNK_ROWS, score_rows)
 
 
 @dataclass
@@ -443,8 +464,8 @@ class Prediction:
 class _FoldedMLP:
     """The fit's scaler + first layer, folded for a fixed feature split.
 
-    Splits the standardization and the first (affine) layer into a
-    config-column part — applied once per candidate set — and a
+    Splits the standardization and the first (affine) layer into
+    config-column parts — applied once per term or set — and a
     shape-column part applied per query.  The remaining layers run over
     chunk buffers with in-place activations, numerically identical
     (modulo float association) to the plain forward pass.
@@ -467,14 +488,17 @@ class _FoldedMLP:
         self._act0 = layers[0].activation
         self._rest = layers[1:]
         self._fit = fit
+        self.widths = [self._b1.shape[0]] + [
+            lyr.w.shape[1] for lyr in self._rest[:-1]
+        ]
 
     def is_current(self) -> bool:
         """Whether the folded snapshot still matches the live model.
 
         The first layer and scaler stats are copied at fold time (they are
-        baked into cached ``H0`` terms); in-place model mutation — pruning,
-        further fine-tuning — must invalidate the fold.  Cheap: the first
-        layer is ~n_features x width floats.
+        baked into cached ``A`` and ``T`` terms); in-place model mutation —
+        pruning, further fine-tuning — must invalidate the fold.  Cheap:
+        the first layer is ~n_features x width floats.
         """
         layers = self._fit.model.layers
         scaler = self._fit.x_scaler
@@ -507,10 +531,14 @@ class _FoldedMLP:
         )
 
     # ------------------------------------------------------------------
-    def prescale(self, cfg_matrix: np.ndarray) -> np.ndarray:
-        """``H0``: standardized config columns through the first layer."""
-        z = (cfg_matrix - self._mean_c) / self._scale_c
-        return z @ self._w1_cfg + self._b1
+    def split_term(self, cols: np.ndarray, columns=slice(None)) -> np.ndarray:
+        """Config columns ``columns`` standardized through the first layer."""
+        z = (cols - self._mean_c[columns]) / self._scale_c[columns]
+        return z @ self._w1_cfg[columns]
+
+    def prescale(self, cols: np.ndarray, columns=slice(None)) -> np.ndarray:
+        """``A``: :meth:`split_term` plus the first layer's bias."""
+        return self.split_term(cols, columns) + self._b1
 
     def _shape_term(self, shape_vec: np.ndarray) -> np.ndarray:
         z = (shape_vec - self._mean_s) / self._scale_s
@@ -527,21 +555,24 @@ class _FoldedMLP:
     def _eval_chunk(
         self,
         h0_chunk: np.ndarray,
-        h: np.ndarray,
+        c: np.ndarray,
         out_row: np.ndarray,
         bufs: list[np.ndarray],
     ) -> None:
+        """Score rows from ``h0_chunk + c``: ``c`` is one first-layer
+        constant for the chunk, or one per row."""
         m = len(h0_chunk)
         if m == 1:
             # BLAS multiplies a one-row matrix with its matrix-vector
             # routine, which rounds differently from the matrix-matrix
             # one every longer chunk takes: score the row twice instead.
             pair = np.empty(2)
-            self._eval_chunk(np.repeat(h0_chunk, 2, axis=0), h, pair, bufs)
+            c = np.repeat(c, 2, axis=0) if c.ndim == 2 else c
+            self._eval_chunk(np.repeat(h0_chunk, 2, axis=0), c, pair, bufs)
             out_row[:] = pair[:1]
             return
         a = bufs[0][:m]
-        np.add(h0_chunk, h, out=a)
+        np.add(h0_chunk, c, out=a)
         self._activate(self._act0, a)
         for layer, buf in zip(self._rest[:-1], bufs[1:]):
             nxt = buf[:m]
@@ -558,25 +589,36 @@ class _FoldedMLP:
         out_row += last.b[0]
         self._activate(last.activation, out_row)
 
-    def predict(self, h0: np.ndarray, shape_vec: np.ndarray) -> np.ndarray:
-        """Standardized model outputs for every candidate at one shape."""
-        return self.predict_batch(h0, [shape_vec])[0]
-
     def predict_batch(
-        self, h0: np.ndarray, shape_vecs: Sequence[np.ndarray]
+        self,
+        h0: np.ndarray,
+        starts: np.ndarray,
+        consts: Sequence[np.ndarray],
     ) -> np.ndarray:
-        """(n_shapes, n_candidates) outputs, one pass over ``h0``.
+        """(n_shapes, n_rows) outputs, one pass over a term's ``h0``.
 
-        Each chunk of the candidate term is evaluated for every shape
+        ``consts[b]`` holds shape ``b``'s first-layer constants, one row
+        per group.  Each chunk of the term is evaluated for every shape
         while it is cache-resident, so the batch pays the memory traffic
         of a single query.  Row ranges run in parallel.
         """
-        hs = [self._shape_term(v) for v in shape_vecs]
-        out = np.empty((len(hs), len(h0)))
-        widths = [self._b1.shape[0]] + [
-            lyr.w.shape[1] for lyr in self._rest[:-1]
-        ]
-        _score_chunks(h0, hs, out, _CHUNK_ROWS, widths, self._eval_chunk)
+        out = np.empty((len(consts), len(h0)))
+        _score_chunks(h0, starts, consts, out, self.widths, self._eval_chunk)
+        return out
+
+    def predict_rows(self, h0: np.ndarray, consts: np.ndarray) -> np.ndarray:
+        """Outputs for gathered rows, row ``i`` from ``h0[i] + consts[i]``.
+
+        Serial: stage 2's shortlists are a few hundred rows.  A row's
+        score does not depend on which rows share its chunk, so it
+        equals the row's score in a full pass.
+        """
+        out = np.empty(len(h0))
+        rows = max(2, min(len(h0), _CHUNK_ROWS))
+        bufs = [np.empty((rows, w)) for w in self.widths]
+        for c in range(0, len(h0), _CHUNK_ROWS):
+            e = c + _CHUNK_ROWS
+            self._eval_chunk(h0[c:e], consts[c:e], out[c:e], bufs)
         return out
 
 
@@ -605,22 +647,25 @@ class _Cascade:
     Every hidden layer is ReLU and the output layer is identity, so the
     identity ``relu(x + c) = max(x, -c) + c`` carries each layer's
     additive constant into the next layer instead of adding it to every
-    row.  Per query shape, the constants are computed once in float64
-    from the weights the float32 copies were cast from::
+    row.  Per query shape and group, the constants are computed once in
+    float64 from the weights the float32 copies were cast from::
 
-        c_1 = h (the shape term),   c_{l+1} = c_l W_{l+1} + b_{l+1},
-        c_out = c_L w_out + b_out
+        c_1 = h + T[g] (the first-layer constant),
+        c_{l+1} = c_l W_{l+1} + b_{l+1},   c_out = c_L w_out + b_out
 
-    and ``-c_l`` and ``c_out`` are cast to float32 once.  Each chunk of
-    the float32 twin of ``H0`` is then scored as::
+    and ``-c_l`` and ``c_out`` are cast to float32 once (one shape's
+    groups go through each product together, as the rows of one
+    matrix).  Each chunk of the float32 twin of ``A`` is then scored,
+    with its group's constants, as::
 
-        m_1 = max(H0, -c_1),   m_{l+1} = max(m_l W_{l+1}, -c_{l+1}),
+        m_1 = max(A, -c_1),   m_{l+1} = max(m_l W_{l+1}, -c_{l+1}),
         out = m_L w_out + c_out
 
     where ``m_l + c_l`` is layer l's activation: one elementwise pass per
-    layer where adding a shape term or bias and then clamping takes two,
-    with the same products (the float64 hot path's structure, at half
-    the memory traffic and roughly twice the sgemm throughput).
+    layer where adding a constant and then clamping takes two, with the
+    same products (the float64 hot path's structure, at half the memory
+    traffic and roughly twice the sgemm throughput).  A group
+    thresholds exactly as a whole one-group term does.
 
     The proxy is therefore the exhaustive scorer up to float32 rounding,
     so the calibrated per-dtype margin ``delta`` is rounding-sized (~1e-6
@@ -639,8 +684,7 @@ class _Cascade:
     cascade until it is rebuilt.
     """
 
-    __slots__ = ("margins", "_ws", "_w_out", "_rest_snapshot", "_folded",
-                 "_widths")
+    __slots__ = ("margins", "_ws", "_w_out", "_rest_snapshot", "_folded")
 
     def __init__(self, folded: _FoldedMLP, margins: Mapping[str, float]):
         self.margins = dict(margins)
@@ -652,7 +696,6 @@ class _Cascade:
         self._w_out = np.ascontiguousarray(rest[-1].w[:, 0], dtype=np.float32)
         self._rest_snapshot = [(lyr.w.copy(), lyr.b.copy()) for lyr in rest]
         self._folded = folded
-        self._widths = [folded._b1.shape[0]] + [w.shape[1] for w in self._ws]
 
     @staticmethod
     def applies(folded: _FoldedMLP) -> bool:
@@ -673,16 +716,20 @@ class _Cascade:
         )
 
     def _thresholds(
-        self, shape_vec: np.ndarray
-    ) -> tuple[list[np.ndarray], np.float32]:
-        """One shape's float32 ``-c_l`` per hidden layer and ``c_out``."""
-        c = self._folded._shape_term(shape_vec)
+        self, c1: np.ndarray
+    ) -> list[tuple[list[np.ndarray], np.float32]]:
+        """Per group: float32 ``-c_l`` per hidden layer and ``c_out``.
+
+        ``c1`` is one shape's (n_groups, width) first-layer constants.
+        """
+        c = c1
         negs = [(-c).astype(np.float32)]
         for w, b in self._rest_snapshot[:-1]:
             c = c @ w + b
             negs.append((-c).astype(np.float32))
         w, b = self._rest_snapshot[-1]
-        return negs, np.float32(c @ w[:, 0] + b[0])
+        outs = (c @ w[:, 0] + b[0]).astype(np.float32)
+        return [([neg[g] for neg in negs], outs[g]) for g in range(len(c1))]
 
     def _score_chunk(
         self,
@@ -699,32 +746,56 @@ class _Cascade:
         np.dot(a, self._w_out, out=out_row)
         out_row += c_out
 
-    def scores(self, h0_lo: np.ndarray, shape_vec: np.ndarray) -> np.ndarray:
-        """Float32 proxy scores for every candidate at one query shape.
-
-        Chunk boundaries are fixed multiples of ``_CASCADE_CHUNK`` however
-        the rows are partitioned, so the result is bit-reproducible for a
-        given candidate set — the calibration-time and query-time proxies
-        are the same numbers.
-        """
-        return self.scores_many(h0_lo, [shape_vec])[0]
-
-    def scores_many(
-        self, h0_lo: np.ndarray, shape_vecs: Sequence[np.ndarray]
+    def proxies(
+        self,
+        h0_lo: np.ndarray,
+        starts: np.ndarray,
+        consts: Sequence[np.ndarray],
     ) -> np.ndarray:
-        """(n_shapes, n_candidates) proxies, one pass over ``h0_lo``.
+        """(n_shapes, n_rows) float32 proxies, one pass over ``h0_lo``.
 
-        Per-shape results are bit-identical to :meth:`scores` (same
-        chunking, same per-shape operations); only the traffic over the
-        low-precision ``H0`` twin is amortized across the batch.  Row
+        ``h0_lo`` is a term's float32 twin and ``consts[b]`` shape
+        ``b``'s (n_groups, width) float64 first-layer constants.  The
+        chunks are fixed by the term alone (:func:`_score_chunks`), and
+        each shape's rows get the same operations whatever else shares
+        the pass, so a proxy is bit-reproducible for a given term and
+        constant: the calibration-time and query-time proxies, and a
+        shape's proxies alone or in a batch, are the same numbers.  Row
         ranges run in parallel.
         """
-        consts = [self._thresholds(v) for v in shape_vecs]
+        thresholds = [self._thresholds(c1) for c1 in consts]
         out = np.empty((len(consts), len(h0_lo)), dtype=np.float32)
         _score_chunks(
-            h0_lo, consts, out, _CASCADE_CHUNK, self._widths,
+            h0_lo, starts, thresholds, out, self._folded.widths,
             self._score_chunk,
         )
+        return out
+
+
+@dataclass
+class _Term:
+    """One first-layer term, shared by every candidate set of one base.
+
+    ``h0`` is ``A``: the base's shared config columns standardized and
+    folded through the first layer with its bias, one row per candidate
+    in group order (group ``g`` is rows ``starts[g]`` up to the next
+    start).  ``order[r]`` is row ``r``'s candidate index; None when the
+    rows are in candidate order.
+    """
+
+    h0: np.ndarray
+    order: np.ndarray | None
+    starts: np.ndarray
+    #: float32 twin of ``h0`` that stage 1 streams over (half the memory
+    #: traffic of the full-precision term), built on first use.
+    lo: np.ndarray | None = None
+
+    def to_candidates(self, scores: np.ndarray) -> np.ndarray:
+        """Scores over the term's rows (last axis), in candidate order."""
+        if self.order is None:
+            return scores
+        out = np.empty_like(scores)
+        out[..., self.order] = scores
         return out
 
 
@@ -734,10 +805,14 @@ class _CandidateSet:
 
     configs: list
     cfg_matrix: np.ndarray
-    h0: np.ndarray | None = None
-    #: float32 twin of ``h0`` the cascade's stage 1 streams over (half
-    #: the memory traffic of the full-precision term).
-    h0_lo: np.ndarray | None = None
+    #: ``(term key, order, starts, split columns)``: the set's base, its
+    #: rows' group order and starts, and the config-feature columns that
+    #: vary by group (none for a one-group op).
+    groups: tuple
+    term: _Term | None = None
+    #: ``T``: the split columns through the first layer, one row per
+    #: group; None when no column varies by group.
+    split: np.ndarray | None = None
 
 
 class ExhaustiveSearch:
@@ -762,6 +837,7 @@ class ExhaustiveSearch:
         self._device = device
         self._space = space
         self._sets: dict[Hashable, _CandidateSet] = {}
+        self._terms: dict[Hashable, _Term] = {}
         self._adopted: dict[Hashable, np.ndarray] = {}
         self._adopted_lo: dict[Hashable, np.ndarray] = {}
         n_features = len(self._spec.feature_names)
@@ -794,9 +870,10 @@ class ExhaustiveSearch:
         self._adopted_lo.clear()
         self._cascade = None  # collapsed from the stale layers
         self._cascade_calib = None
+        self._terms.clear()
         for cs in self._sets.values():
-            cs.h0 = None
-            cs.h0_lo = None
+            cs.term = None
+            cs.split = None
 
     def refold(self) -> bool:
         """Re-fold *now* after an in-place model swap; True if it refolded.
@@ -805,7 +882,7 @@ class ExhaustiveSearch:
         swap wants the invalidation to complete inside the swapper's
         critical section — the caller holds the same lock searches take,
         so once this returns no reader can ever pair the new weights
-        with a stale prescaled ``H0``.
+        with a stale prescaled term.
         """
         if self._folded is None:
             return False
@@ -846,42 +923,78 @@ class ExhaustiveSearch:
                             op=self._spec.name, matrix=matrix,
                             configs=configs,
                         ))
-            cs = _CandidateSet(configs=configs, cfg_matrix=matrix)
-            self._sets[key] = cs
-        if cs.h0 is None and self._folded is not None:
-            adopted = self._adopted.get(key)
-            if (
-                adopted is not None
-                and adopted.shape[0] == cs.cfg_matrix.shape[0]
-            ):
-                cs.h0 = adopted
+            if self._spec.candidate_groups is not None:
+                groups = self._spec.candidate_groups(
+                    self._device, shape, self._space
+                )
             else:
-                cs.h0 = self._folded.prescale(cs.cfg_matrix)
+                groups = (key, None, np.zeros(1, dtype=np.intp), ())
+            cs = _CandidateSet(configs=configs, cfg_matrix=matrix,
+                               groups=groups)
+            self._sets[key] = cs
+        if cs.term is None and self._folded is not None:
+            self._attach_term(cs)
         return cs
 
+    def _attach_term(self, cs: _CandidateSet) -> None:
+        """Give a set its base's term (prescaled once) and its own ``T``."""
+        tkey, order, starts, split = cs.groups
+        term = self._terms.get(tkey)
+        if term is None:
+            term = _Term(self._prescale_term(cs), order, starts)
+            self._terms[tkey] = term
+        cs.term = term
+        if split:
+            # Split columns depend only on the group: each group's first
+            # row carries them.
+            first = cs.cfg_matrix[np.ix_(order[starts], split)]
+            cs.split = self._folded.split_term(first, list(split))
+
+    def _prescale_term(self, cs: _CandidateSet) -> np.ndarray:
+        """``A`` for a set's base: adopted if it fits, else prescaled.
+
+        Every set of a base holds the base's shared columns, so any one
+        of them yields the same ``A``.
+        """
+        tkey, order, _, split = cs.groups
+        adopted = self._adopted.get(tkey)
+        if adopted is not None and adopted.shape == (
+            len(cs.configs), self._folded.widths[0]
+        ):
+            return adopted
+        if not split:
+            return self._folded.prescale(cs.cfg_matrix)
+        shared = [j for j in range(cs.cfg_matrix.shape[1]) if j not in split]
+        return self._folded.prescale(
+            cs.cfg_matrix[np.ix_(order, shared)], shared
+        )
+
+    def _first_layer(self, cs: _CandidateSet, shape) -> np.ndarray:
+        """One shape's float64 first-layer constants ``h + T[g]``, one
+        row per group (``h`` alone for a one-group set)."""
+        h = self._folded._shape_term(self._spec.shape_vector(shape, log=True))
+        return h[None] if cs.split is None else h + cs.split
+
     def prescaled_snapshot(self) -> dict[Hashable, np.ndarray]:
-        """Every computed ``H0`` term, by candidate key.
+        """Every computed ``A`` term, by term key.
 
         The worker tier ships these through shared memory so a fresh
-        worker skips the per-set prescale matmul; only sets this search
-        has actually touched (and whose fold is current) appear.
+        worker skips the prescale matmul; only terms this search has
+        actually touched (and whose fold is current) appear.  A CONV
+        term goes once, under its base's key, whatever buckets used it.
         """
         self._refresh_fold()
-        return {
-            key: cs.h0
-            for key, cs in self._sets.items()
-            if cs.h0 is not None
-        }
+        return {key: term.h0 for key, term in self._terms.items()}
 
     def adopt_prescaled(self, key: Hashable, h0: np.ndarray) -> None:
-        """Accept an externally computed ``H0`` for a candidate key.
+        """Accept an externally computed ``A`` for a term key.
 
         The array (typically a read-only shared-memory view) is used
-        verbatim iff its row count matches the candidate set built for
-        ``key`` — it was prescaled from the same fit bytes, so the values
-        are bit-identical to a local :meth:`_FoldedMLP.prescale`.  A
-        mismatch (space edit between export and attach) silently falls
-        back to prescaling locally.
+        verbatim iff its shape matches the term built for ``key`` — it
+        was prescaled from the same fit bytes and candidate columns, so
+        the values are bit-identical to a local prescale.  A mismatch
+        (space edit between export and attach) silently falls back to
+        prescaling locally.
         """
         if self._folded is None:
             return
@@ -929,22 +1042,23 @@ class ExhaustiveSearch:
         self._cascade_calib = calib
         return self._cascade
 
-    def _ensure_lowres(self, key: Hashable, cs: _CandidateSet) -> np.ndarray:
-        """The float32 ``H0`` twin for one candidate set, built lazily."""
-        if cs.h0_lo is None:
-            adopted = self._adopted_lo.get(key)
+    def _lowres(self, cs: _CandidateSet) -> np.ndarray:
+        """The float32 twin of a set's term, adopted or cast once."""
+        term = cs.term
+        if term.lo is None:
+            adopted = self._adopted_lo.get(cs.groups[0])
             if (
                 adopted is not None
-                and adopted.shape == cs.h0.shape
+                and adopted.shape == term.h0.shape
                 and adopted.dtype == np.float32
             ):
-                cs.h0_lo = adopted
+                term.lo = adopted
             else:
-                cs.h0_lo = cs.h0.astype(np.float32)
-        return cs.h0_lo
+                term.lo = term.h0.astype(np.float32)
+        return term.lo
 
     def cascade_snapshot(self) -> dict[Hashable, np.ndarray]:
-        """Every computed float32 ``H0`` twin, by candidate key.
+        """Every computed float32 twin of an ``A`` term, by term key.
 
         The worker tier ships these through shared memory alongside the
         full-precision terms so a fresh worker runs the cascade with zero
@@ -952,17 +1066,17 @@ class ExhaustiveSearch:
         """
         self._refresh_fold()
         return {
-            key: cs.h0_lo
-            for key, cs in self._sets.items()
-            if cs.h0_lo is not None
+            key: term.lo
+            for key, term in self._terms.items()
+            if term.lo is not None
         }
 
     def adopt_cascade(self, key: Hashable, h0_lo: np.ndarray) -> None:
-        """Accept an externally computed float32 twin for a candidate key.
+        """Accept an externally computed float32 twin for a term key.
 
         Same contract as :meth:`adopt_prescaled`: the view is used
-        verbatim iff it matches the set built for ``key`` (it was cast
-        from bit-identical ``H0`` values, so the twin is bit-identical
+        verbatim iff it matches the term built for ``key`` (it was cast
+        from bit-identical ``A`` values, so the twin is bit-identical
         too); any mismatch falls back to casting locally.
         """
         if self._folded is None:
@@ -1005,12 +1119,10 @@ class ExhaustiveSearch:
             for _ in range(n_shapes):
                 shape = sampler(rng)
                 cs = self._candidate_set(shape)
-                key = self._spec.candidate_cache_key(
-                    self._device, shape, self._space
-                )
-                vec = self._spec.shape_vector(shape, log=True)
-                f = self._folded.predict(cs.h0, vec)
-                p = cas.scores(self._ensure_lowres(key, cs), vec)
+                c1 = [self._first_layer(cs, shape)]
+                term = cs.term
+                f = self._folded.predict_batch(term.h0, term.starts, c1)
+                p = cas.proxies(self._lowres(cs), term.starts, c1)
                 gap = float(np.max(np.abs(f - p.astype(np.float64))))
                 delta = max(delta, gap)
             margins[dtype.name] = delta * safety + 1e-9
@@ -1041,16 +1153,18 @@ class ExhaustiveSearch:
     def _cascade_finish(
         self,
         cs: _CandidateSet,
-        shape,
         k: int,
         proxy: np.ndarray,
         delta: float,
+        c1: np.ndarray,
     ) -> list[Prediction] | None:
-        """Shortlist + stage-2 rerank from precomputed proxy scores.
+        """Shortlist + stage-2 rerank from one shape's stage-1 proxies.
 
-        Returns None on fallback (shortlist blown wide, or an observed
-        ``|full - proxy|`` above the calibrated margin — in which case
-        the pruned candidates cannot be trusted either).
+        ``proxy`` scores the set's term rows (group order) and ``c1`` is
+        the shape's first-layer constants.  Returns None on fallback
+        (shortlist blown wide, or an observed ``|full - proxy|`` above
+        the calibrated margin — in which case the pruned candidates
+        cannot be trusted either).
         """
         stats = self.cascade_stats
         n = len(proxy)
@@ -1061,16 +1175,21 @@ class ExhaustiveSearch:
         # shortlist.
         thr = float(tau) - 2.0 * delta
         p64 = proxy.astype(np.float64)
-        survivors = np.flatnonzero(p64 >= thr)
-        if len(survivors) > n * _CASCADE_MAX_FRAC:
+        rows = np.flatnonzero(p64 >= thr)
+        if len(rows) > n * _CASCADE_MAX_FRAC:
             stats.fallbacks += 1
             return None
         t1 = time.perf_counter()
-        f = self._folded.predict(
-            np.ascontiguousarray(cs.h0[survivors]),
-            self._spec.shape_vector(shape, log=True),
-        )
-        if np.max(np.abs(f - p64[survivors])) > delta:
+        term = cs.term
+        survivors = rows
+        if term.order is not None:
+            # Candidate order, as the exhaustive selection sees them.
+            survivors = term.order[rows]
+            by = np.argsort(survivors)
+            rows, survivors = rows[by], survivors[by]
+        groups = np.searchsorted(term.starts, rows, side="right") - 1
+        f = self._folded.predict_rows(term.h0[rows], c1[groups])
+        if np.max(np.abs(f - p64[rows])) > delta:
             stats.fallbacks += 1
             stats.stage2_ms += (time.perf_counter() - t1) * 1e3
             return None
@@ -1090,23 +1209,6 @@ class ExhaustiveSearch:
         stats.stage2_ms += (time.perf_counter() - t1) * 1e3
         return out
 
-    def _cascade_select(
-        self, cs: _CandidateSet, shape, k: int
-    ) -> list[Prediction] | None:
-        """One query through both stages; None means search exhaustively."""
-        ready = self._cascade_ready(cs, shape.dtype.name, k)
-        if ready is None:
-            return None
-        cas, delta = ready
-        key = self._spec.candidate_cache_key(self._device, shape, self._space)
-        t0 = time.perf_counter()
-        proxy = cas.scores(
-            self._ensure_lowres(key, cs),
-            self._spec.shape_vector(shape, log=True),
-        )
-        self.cascade_stats.stage1_ms += (time.perf_counter() - t0) * 1e3
-        return self._cascade_finish(cs, shape, k, proxy, delta)
-
     def candidates(self, shape) -> tuple[list, np.ndarray]:
         """Candidate configs + config-feature matrix for one query shape."""
         cs = self._candidate_set(shape)
@@ -1118,10 +1220,11 @@ class ExhaustiveSearch:
         cs = self._candidate_set(shape)
         if self._folded is None:
             return self._predict_reference(cs, shape)
-        pred = self._folded.predict(
-            cs.h0, self._spec.shape_vector(shape, log=True)
-        )
-        return self._fit.y_scaler.inverse_transform(pred)
+        term = cs.term
+        pred = self._folded.predict_batch(
+            term.h0, term.starts, [self._first_layer(cs, shape)]
+        )[0]
+        return self._fit.y_scaler.inverse_transform(term.to_candidates(pred))
 
     def predictions_reference(self, shape) -> np.ndarray:
         """The unfolded path: build and re-standardize the full design
@@ -1156,9 +1259,18 @@ class ExhaustiveSearch:
         """The k configs the model believes are fastest, best first."""
         cs = self._candidate_set(shape)
         if self._folded is not None:
-            sel = self._cascade_select(cs, shape, k)
-            if sel is not None:
-                return sel
+            ready = self._cascade_ready(cs, shape.dtype.name, k)
+            if ready is not None:
+                cas, delta = ready
+                c1 = self._first_layer(cs, shape)
+                t0 = time.perf_counter()
+                proxy = cas.proxies(self._lowres(cs), cs.term.starts, [c1])
+                self.cascade_stats.stage1_ms += (
+                    time.perf_counter() - t0
+                ) * 1e3
+                sel = self._cascade_finish(cs, k, proxy[0], delta, c1)
+                if sel is not None:
+                    return sel
         preds = self.predictions(shape)
         self.cascade_stats.exhaustive_queries += 1
         return self._select(cs.configs, preds, k, shape)
@@ -1168,52 +1280,49 @@ class ExhaustiveSearch:
     ) -> list[list[Prediction]]:
         """Per-shape top-k for many query shapes in one model pass.
 
-        Shapes sharing a candidate set (e.g. GEMM shapes of one dtype) are
-        evaluated together chunk-wise; results match per-shape
-        :meth:`top_k` exactly.  Cascade-eligible shapes run stage 1
-        batched over the same cache-resident chunks; fallbacks rejoin the
-        exhaustive batch path.
+        Shapes whose candidate sets share a term (GEMM shapes of one
+        dtype; CONV shapes of one dtype, whatever their buckets) are
+        evaluated together chunk-wise, each with its own first-layer
+        constants; results match per-shape :meth:`top_k` exactly.
+        Cascade-eligible shapes run stage 1 in one pass over the term;
+        fallbacks rejoin the exhaustive batch path.
         """
         results: list[list[Prediction] | None] = [None] * len(shapes)
-        groups: dict[Hashable, list[int]] = {}
-        for i, shape in enumerate(shapes):
-            key = self._spec.candidate_cache_key(
-                self._device, shape, self._space
-            )
-            groups.setdefault(key, []).append(i)
-        for key, idxs in groups.items():
-            cs = self._candidate_set(shapes[idxs[0]])
+        sets = [self._candidate_set(shape) for shape in shapes]
+        by_term: dict[Hashable, list[int]] = {}
+        for i, cs in enumerate(sets):
+            by_term.setdefault(cs.groups[0], []).append(i)
+        for idxs in by_term.values():
             if self._folded is None:
                 for i in idxs:
                     results[i] = self.top_k(shapes[i], k)
                 continue
+            term = sets[idxs[0]].term
+            n = len(term.h0)
+            c1 = {i: self._first_layer(sets[i], shapes[i]) for i in idxs}
             pending = idxs
-            # All shapes in a group share a dtype (it is part of the
-            # candidate cache key), so one margin covers the group.
-            ready = self._cascade_ready(cs, shapes[idxs[0]].dtype.name, k)
+            # All shapes of a term share a dtype (it is part of the term
+            # key), so one margin covers them.
+            ready = self._cascade_ready(
+                sets[idxs[0]], shapes[idxs[0]].dtype.name, k
+            )
             if ready is not None:
                 cas, delta = ready
-                h0_lo = self._ensure_lowres(key, cs)
-                per = max(
-                    1, (2 * _BATCH_BLOCK_ELEMS) // max(1, len(cs.configs))
-                )
+                h0_lo = self._lowres(sets[idxs[0]])
+                per = max(1, (2 * _BATCH_BLOCK_ELEMS) // max(1, n))
                 pending = []
                 for lo in range(0, len(idxs), per):
                     sub = idxs[lo:lo + per]
                     t0 = time.perf_counter()
-                    proxies = cas.scores_many(
-                        h0_lo,
-                        [
-                            self._spec.shape_vector(shapes[i], log=True)
-                            for i in sub
-                        ],
+                    proxies = cas.proxies(
+                        h0_lo, term.starts, [c1[i] for i in sub]
                     )
                     self.cascade_stats.stage1_ms += (
                         time.perf_counter() - t0
                     ) * 1e3
                     for row, i in zip(proxies, sub):
                         sel = self._cascade_finish(
-                            cs, shapes[i], k, row, delta
+                            sets[i], k, row, delta, c1[i]
                         )
                         if sel is None:
                             pending.append(i)
@@ -1221,16 +1330,17 @@ class ExhaustiveSearch:
                             results[i] = sel
             # Bound the materialized (shapes x candidates) prediction block
             # so arbitrarily large batches cannot exhaust memory.
-            per_group = max(1, _BATCH_BLOCK_ELEMS // max(1, len(cs.configs)))
+            per_group = max(1, _BATCH_BLOCK_ELEMS // max(1, n))
             for lo in range(0, len(pending), per_group):
                 sub = pending[lo:lo + per_group]
-                vecs = [
-                    self._spec.shape_vector(shapes[i], log=True) for i in sub
-                ]
                 rows = self._fit.y_scaler.inverse_transform(
-                    self._folded.predict_batch(cs.h0, vecs)
+                    term.to_candidates(self._folded.predict_batch(
+                        term.h0, term.starts, [c1[i] for i in sub]
+                    ))
                 )
                 for row, i in zip(rows, sub):
                     self.cascade_stats.exhaustive_queries += 1
-                    results[i] = self._select(cs.configs, row, k, shapes[i])
+                    results[i] = self._select(
+                        sets[i].configs, row, k, shapes[i]
+                    )
         return results  # type: ignore[return-value]

@@ -28,7 +28,9 @@ FORMAT_VERSION = 1
 #: digest.  A margin measures one proxy's rounding, so a margin measured
 #: against other stage-1 arithmetic must not arm this one: change the
 #: constant whenever the stage-1 arithmetic changes.
-_STAGE1_FORM = b"cascade stage 1: thresholded ReLU layers"
+_STAGE1_FORM = (
+    b"cascade stage 1: thresholded ReLU layers, one constant per group"
+)
 
 
 def fit_weights_digest(fit: FitResult) -> str:

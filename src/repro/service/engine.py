@@ -707,12 +707,13 @@ class Engine:
 
         Fits are serialized once per (device, op) — this loads any still
         lazy tuner, which is intended: worker boot is serve start.  The
-        cached enumerations and every ``H0`` term the hot searches have
-        prescaled export as named arrays destined for one shared-memory
-        segment (see :class:`~repro.core.soa.SharedArrayPack`); the
-        metadata references arrays by name only, so it stays pipe-sized.
-        CONV buckets do not ship: a worker derives them from the GEMM
-        enumeration and adopts their ``H0`` by key.
+        cached enumerations and every first-layer term the hot searches
+        have prescaled export as named arrays destined for one
+        shared-memory segment (see :class:`~repro.core.soa.SharedArrayPack`);
+        the metadata references arrays by name only, so it stays
+        pipe-sized.  CONV buckets do not ship: a worker derives them from
+        the GEMM enumeration, and the CONV term ships once per (device,
+        dtype), under its base key, whatever buckets the parent touched.
         """
         from repro.core.candidate_store import collect_cache_records
         from repro.mlp.serialize import fit_to_bytes
@@ -1340,9 +1341,9 @@ class WorkerEngine:
     A slim, single-process searcher rebuilt from a :class:`WorkerState`
     export: it seeds the enumeration cache with zero-copy shared-memory
     views, restores each (device, op) tuner from its fit bytes, adopts
-    the parent's prescaled ``H0`` terms (a CONV bucket's by key, for the
-    bucket it derives from the GEMM enumeration), and answers batched
-    searches.
+    the parent's prescaled first-layer terms by term key (CONV's by its
+    base key, for every bucket it derives from the GEMM enumeration),
+    and answers batched searches.
     It keeps **no caches of its own** — the parent's LRU/profile levels
     stay authoritative and only misses are shipped here, so worker
     results are config-identical to the in-process path (same fit bytes,

@@ -287,10 +287,11 @@ class TestEngineColdStart:
         assert reply.source == "search"
 
 
-def test_worker_derives_conv_buckets_and_adopts_their_h0(small_conv_tuner):
-    """The worker pack ships enumerations only: a worker derives the conv
-    bucket from the GEMM enumeration and serves it with the parent's
-    ``H0``, adopted by bucket key."""
+def test_worker_adopts_the_conv_term_by_base_key(small_conv_tuner):
+    """The worker pack ships enumerations only, and the conv first-layer
+    term once, under its base key: a worker derives the bucket from the
+    GEMM enumeration, scores it on the exported arrays, and returns the
+    parent's config and measurement."""
     from repro.core.tuner import Isaac
     from repro.gpu.device import TESLA_P100
     from repro.service.engine import WorkerEngine
@@ -301,19 +302,28 @@ def test_worker_derives_conv_buckets_and_adopts_their_h0(small_conv_tuner):
         dtypes=small_conv_tuner.dtypes,
     ))
     shape = ConvShape.from_output(n=4, p=14, q=14, k=64, c=128, r=3, s=3)
+    other = ConvShape.from_output(n=64, p=7, q=7, k=64, c=64, r=3, s=3)
     want = engine.query(KernelRequest("conv", shape, k=8, reps=2))
+    engine.query(KernelRequest("conv", other, k=8, reps=2))
     state = engine.export_worker_state()
     engine.close()
     assert [rec["op"] for rec in state.records] == ["gemm"]
-    key = conv_search.conv_bucket_key(TESLA_P100, shape)
+    base_key = ("conv", TESLA_P100.name, "FP32")
     (h0,) = [
         state.arrays[item["name"]] for item in state.prescaled
-        if tuple(item["key"]) == key
+        if item["op"] == "conv" and tuple(item["key"]) == base_key
     ]
+    (h0_lo,) = [
+        state.arrays[item["name"]] for item in state.cascade
+        if item["op"] == "conv" and tuple(item["key"]) == base_key
+    ]
+    # Two buckets searched, one term shipped.
+    assert [i["op"] for i in state.prescaled] == ["conv"]
 
     conv_search.clear_bucket_cache()  # the worker derives its own bucket
     worker = WorkerEngine(
-        state.fits, state.records, state.prescaled, state.arrays
+        state.fits, state.records, state.prescaled, state.arrays,
+        cascade=state.cascade,
     )
     ((ok, payload),) = worker.search_batch(
         TESLA_P100.name, "conv", [shape], 8, 2
@@ -322,4 +332,6 @@ def test_worker_derives_conv_buckets_and_adopts_their_h0(small_conv_tuner):
     assert payload[0] == want.config
     assert payload[2] == want.measured_tflops
     search_ = worker._tuners[(TESLA_P100.name, "conv")].searcher
-    assert search_._sets[key].h0 is h0
+    term = search_._sets[conv_search.conv_bucket_key(TESLA_P100, shape)].term
+    assert term.h0 is h0 and term.lo is h0_lo
+    assert search_.cascade_stats.cascade_queries == 1

@@ -255,18 +255,33 @@ def _add_then_clamp_digest(fit) -> str:
     return h.hexdigest()
 
 
-def test_margin_of_the_add_then_clamp_stage1_never_arms(
+#: The stage-1 form calibrations carried while each CONV bucket scored
+#: its own prescaled term, one shape constant per set.
+_PER_SET_FORM = b"cascade stage 1: thresholded ReLU layers"
+
+
+def _per_set_form_digest(fit, monkeypatch) -> str:
+    with monkeypatch.context() as m:
+        m.setattr(serialize, "_STAGE1_FORM", _PER_SET_FORM)
+        return fit_weights_digest(fit)
+
+
+def test_margin_of_the_previous_stage1_form_never_arms(
     mutable_tuner, tmp_path, monkeypatch
 ):
-    """A margin measured against the older stage-1 form sized another
-    proxy's rounding: the fit searches exhaustively (same top-k, counted)
-    until warmup recalibrates it and re-saves it."""
+    """A margin measured against an older stage-1 form (per-set terms,
+    or add-then-clamp before it) sized another proxy's rounding: the fit
+    searches exhaustively (same top-k, counted) until warmup
+    recalibrates it and re-saves it."""
     shape = GemmShape(288, 64, 288, DType.FP32, False, True)
     search = mutable_tuner.searcher
     stats = search.cascade_stats
     fit = mutable_tuner.fit_result
     calib = fit.cascade
-    assert calib.weights_digest != _add_then_clamp_digest(fit)
+    assert serialize._STAGE1_FORM != _PER_SET_FORM
+    older = [_add_then_clamp_digest(fit),
+             _per_set_form_digest(fit, monkeypatch)]
+    assert calib.weights_digest not in older
     before_cas = stats.cascade_queries
     want = mutable_tuner.top_k(shape, 10)
     assert stats.cascade_queries == before_cas + 1
@@ -275,19 +290,20 @@ def test_margin_of_the_add_then_clamp_stage1_never_arms(
         m.setattr(serialize, "_STAGE1_FORM", b"another stage 1")
         assert fit_weights_digest(fit) != calib.weights_digest
     try:
-        fit.cascade = CascadeCalibration(
-            margins=dict(calib.margins),
-            weights_digest=_add_then_clamp_digest(fit),
-            n_shapes=calib.n_shapes,
-            safety=calib.safety,
-        )
-        before_exh = stats.exhaustive_queries
-        got = mutable_tuner.top_k(shape, 10)
-        assert stats.exhaustive_queries == before_exh + 1
-        assert stats.cascade_queries == before_cas + 1
-        assert _tops_equal(got, want)
+        for digest in older:
+            fit.cascade = CascadeCalibration(
+                margins=dict(calib.margins),
+                weights_digest=digest,
+                n_shapes=calib.n_shapes,
+                safety=calib.safety,
+            )
+            before_exh = stats.exhaustive_queries
+            got = mutable_tuner.top_k(shape, 10)
+            assert stats.exhaustive_queries == before_exh + 1
+            assert stats.cascade_queries == before_cas + 1
+            assert _tops_equal(got, want)
         path = tmp_path / "older-form.npz"
-        mutable_tuner.save(path)
+        mutable_tuner.save(path)  # carries the per-set form's digest
     finally:
         fit.cascade = calib
 

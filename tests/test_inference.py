@@ -25,7 +25,6 @@ from repro.inference.conv_search import (
 )
 from repro.inference import partition
 from repro.inference.search import (
-    _CASCADE_CHUNK,
     _CHUNK_ROWS,
     ExhaustiveSearch,
     _Cascade,
@@ -600,15 +599,15 @@ def blas_budget():
 
 
 def _scoring_inputs(tuner, shapes):
-    """A searcher's candidate set for ``shapes[0]`` and shape vectors."""
+    """The term ``shapes[0]``'s set scores, its float32 twin, and every
+    shape's first-layer constants (each from its own set: the sets of
+    one op and dtype share the term)."""
     search = tuner.searcher
-    cs = search._candidate_set(shapes[0])
-    key = search.spec.candidate_cache_key(
-        search._device, shapes[0], search._space
-    )
-    h0_lo = search._ensure_lowres(key, cs)
-    vecs = [search.spec.shape_vector(s, log=True) for s in shapes]
-    return search, cs, h0_lo, vecs
+    sets = [search._candidate_set(s) for s in shapes]
+    term = sets[0].term
+    assert all(cs.term is term for cs in sets)
+    c1s = [search._first_layer(cs, s) for cs, s in zip(sets, shapes)]
+    return search, term, search._lowres(sets[0]), c1s
 
 
 def _tops(preds):
@@ -618,27 +617,31 @@ def _tops(preds):
 @pytest.mark.parametrize("op", ["gemm", "conv", "bgemm"])
 def test_partitioned_scoring_is_bit_identical(op, request, force_width):
     """Widths 2 and 3 reproduce width 1 exactly, on sets smaller than a
-    chunk, between chunk multiples, and whole."""
+    chunk, between chunk multiples, and whole; a shape scored alone
+    gets its numbers in the batch."""
     tuner = request.getfixturevalue(_OP_TUNERS[op])
-    search, cs, h0_lo, vecs = _scoring_inputs(tuner, _OP_SHAPES[op])
+    search, term, h0_lo, c1s = _scoring_inputs(tuner, _OP_SHAPES[op])
     folded = search._folded
     cas = _Cascade(folded, {})
-    n = len(cs.configs)
-    sizes = {1, 7, _CASCADE_CHUNK - 1, 3 * _CASCADE_CHUNK + 5,
-             _CHUNK_ROWS + 1, n}
+    n = len(term.h0)
+    sizes = {1, 7, _CHUNK_ROWS - 1, _CHUNK_ROWS + 1, 3 * _CHUNK_ROWS + 5, n}
     for rows in sorted(r for r in sizes if r <= n):
+        starts = term.starts[term.starts < rows]
         results = {}
         for width in (1, 2, 3):
             force_width(width)
             results[width] = (
-                cas.scores_many(h0_lo[:rows], vecs),
-                cas.scores(h0_lo[:rows], vecs[0]),
-                folded.predict_batch(cs.h0[:rows], vecs),
-                folded.predict(cs.h0[:rows], vecs[0]),
+                cas.proxies(h0_lo[:rows], starts, c1s),
+                cas.proxies(h0_lo[:rows], starts, c1s[:1]),
+                folded.predict_batch(term.h0[:rows], starts, c1s),
+                folded.predict_batch(term.h0[:rows], starts, c1s[:1]),
             )
         for width in (2, 3):
             for serial, parted in zip(results[1], results[width]):
                 assert np.array_equal(serial, parted), (op, rows, width)
+        batch_p, alone_p, batch_f, alone_f = results[1]
+        assert np.array_equal(batch_p[:1], alone_p), (op, rows)
+        assert np.array_equal(batch_f[:1], alone_f), (op, rows)
 
 
 #: Four shapes per op that no fixture's calibration sampled (its draws
@@ -671,19 +674,35 @@ def test_proxy_gap_within_margin_on_whole_sets(op, request, force_width):
     """The cascade's premise, checked on whole candidate sets rather than
     through top-k parity: on shapes calibration did not sample, every
     candidate's |full - proxy| is within the fit's margin, at widths 1
-    and 2."""
+    and 2.  Both sides score through the grouped path (a CONV set's
+    split term included), and the full scores are the model's."""
     tuner = request.getfixturevalue(_OP_TUNERS[op])
     search = tuner.searcher
     delta = tuner.fit_result.cascade.margins["FP32"]
     cas = search._cascade_state()
     assert cas is not None
     for shape in _UNSAMPLED_SHAPES[op]:
-        _, cs, h0_lo, (vec,) = _scoring_inputs(tuner, [shape])
+        _, term, h0_lo, (c1,) = _scoring_inputs(tuner, [shape])
+        if op == "conv":
+            # One constant per tile group, each with its own split term.
+            assert len(term.starts) == len(c1) > 1
+            assert not np.array_equal(c1[0], c1[1])
+        else:
+            assert len(term.starts) == len(c1) == 1
+        scores = {}
         for width in (1, 2):
             force_width(width)
-            full = search._folded.predict(cs.h0, vec)
-            proxy = cas.scores(h0_lo, vec).astype(np.float64)
+            full = search._folded.predict_batch(term.h0, term.starts, [c1])
+            proxy = cas.proxies(h0_lo, term.starts, [c1]).astype(np.float64)
             assert np.max(np.abs(full - proxy)) <= delta, (op, shape, width)
+            scores[width] = full[0]
+        assert np.array_equal(scores[1], scores[2])
+        model = tuner.fit_result.y_scaler.inverse_transform(
+            term.to_candidates(scores[1])
+        )
+        np.testing.assert_allclose(
+            model, search.predictions_reference(shape), rtol=0, atol=2e-9
+        )
 
 
 @pytest.mark.parametrize("op", ["gemm", "conv", "bgemm"])
@@ -822,8 +841,8 @@ def test_forked_child_builds_its_own_pool(force_width):
 @pytest.mark.parametrize("op", ["gemm", "conv", "bgemm"])
 def test_gathered_predict_equals_full_predict(op, request):
     tuner = request.getfixturevalue(_OP_TUNERS[op])
-    search, cs, _, vecs = _scoring_inputs(tuner, _OP_SHAPES[op])
-    full = search._folded.predict(cs.h0, vecs[0])
+    search, term, _, (c1, *_) = _scoring_inputs(tuner, _OP_SHAPES[op])
+    full = search._folded.predict_batch(term.h0, term.starts, [c1])[0]
     rng = np.random.default_rng(5)
     n = len(full)
     for size in (1, 2, 3, 31, 300, _CHUNK_ROWS + 1):
@@ -831,10 +850,94 @@ def test_gathered_predict_equals_full_predict(op, request):
             if size > n:
                 continue
             rows = np.sort(rng.choice(n, size, replace=False))
-            gathered = search._folded.predict(
-                np.ascontiguousarray(cs.h0[rows]), vecs[0]
+            groups = np.searchsorted(term.starts, rows, side="right") - 1
+            gathered = search._folded.predict_rows(
+                term.h0[rows], c1[groups]
             )
             assert np.array_equal(gathered, full[rows]), (op, size)
+
+
+# ----------------------------------------------------------------------
+# One first-layer term per CONV base
+# ----------------------------------------------------------------------
+
+def test_conv_buckets_share_one_term(small_conv_tuner):
+    """Two buckets' sets score one term object; each holds only its own
+    (tile groups x width) split term, and the search exports one term
+    per base."""
+    search = small_conv_tuner.searcher
+    a = search._candidate_set(_conv(1, 1))
+    b = search._candidate_set(_conv(32, 8))
+    assert a is not b and a.configs is not b.configs
+    assert a.term is b.term
+    width = search._folded.widths[0]
+    for cs in (a, b):
+        own = {
+            name: value for name, value in vars(cs).items()
+            if isinstance(value, np.ndarray) and name != "cfg_matrix"
+        }
+        assert list(own) == ["split"]
+        assert cs.split.shape == (25, width)
+    assert not np.array_equal(a.split, b.split)
+    base_key = ("conv", TESLA_P100.name, "FP32")
+    assert a.groups[0] == b.groups[0] == base_key
+    assert list(search.prescaled_snapshot()) == [base_key]
+    assert search.prescaled_snapshot()[base_key] is a.term.h0
+
+
+def test_grouped_scoring_is_bit_identical_across_widths(
+    small_conv_tuner, force_width
+):
+    """On a CONV term whose group starts fall inside 2048-row chunks,
+    proxies and float64 outputs of shapes from two buckets are the same
+    at widths 1 and 2."""
+    shapes = [_conv(2, 4), _conv(64, 2)]
+    search, term, h0_lo, c1s = _scoring_inputs(small_conv_tuner, shapes)
+    assert len(term.starts) == 25
+    assert any(s % _CHUNK_ROWS for s in term.starts)
+    cas = _Cascade(search._folded, {})
+    results = {}
+    for width in (1, 2):
+        force_width(width)
+        results[width] = (
+            cas.proxies(h0_lo, term.starts, c1s),
+            search._folded.predict_batch(term.h0, term.starts, c1s),
+        )
+    for serial, parted in zip(results[1], results[2]):
+        assert np.array_equal(serial, parted)
+
+
+def test_batch_over_conv_buckets_runs_one_stage1_pass(
+    small_conv_tuner, monkeypatch
+):
+    """One top_k_batch over shapes of four buckets makes one stage-1
+    pass over the shared term and returns per-shape top_k and the
+    exhaustive top-k exactly."""
+    tuner = small_conv_tuner
+    search = tuner.searcher
+    shapes = [_conv(1, 2), _conv(8, 8), _conv(64, 1), _conv(2, 2)]
+    assert len({conv_bucket_key(TESLA_P100, s) for s in shapes}) == 4
+    single = [_tops(tuner.top_k(s, 20)) for s in shapes]
+    passes = []
+    proxies = _Cascade.proxies
+
+    def spy(self, h0_lo, starts, consts):
+        passes.append(len(consts))
+        return proxies(self, h0_lo, starts, consts)
+
+    stats = search.cascade_stats
+    before = stats.cascade_queries
+    with monkeypatch.context() as m:
+        m.setattr(_Cascade, "proxies", spy)
+        batch = [_tops(t) for t in tuner.top_k_batch(shapes, 20)]
+    assert passes == [len(shapes)]
+    assert stats.cascade_queries == before + len(shapes)
+    try:
+        search.set_cascade(False)
+        exhaustive = [_tops(tuner.top_k(s, 20)) for s in shapes]
+    finally:
+        search.set_cascade(True)
+    assert batch == single == exhaustive
 
 
 def test_cascade_parity_on_the_rounding_shape(trained_gemm_tuner):
