@@ -31,7 +31,7 @@ This bench times both paths and asserts:
   its candidates and its split term, never a first-layer term of its
   own, so a return to prescaling one per bucket fails;
 * the candidate sets and feature matrices are **bit-identical** to the
-  scalar reference, in identical order;
+  scalar oracles in ``tests/oracles.py``, in identical order;
 * a warmed :class:`~repro.core.candidate_store.CandidateStore` serves the
   same sets with zero product-space enumeration.
 
@@ -53,12 +53,9 @@ from repro.core.tuner import Isaac
 from repro.core.types import ConvShape, DType
 from repro.gpu.device import TESLA_P100
 from repro.inference import conv_search
-from repro.inference.search import (
-    clear_cache,
-    legal_configs,
-    legal_configs_reference,
-)
+from repro.inference.search import clear_cache, legal_configs
 from repro.sampling.features import conv_config_matrix
+from tests.oracles import conv_candidates, legal_configs_reference
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 GEMM_FLOOR = 4.0 if SMOKE else 10.0
@@ -98,7 +95,7 @@ def test_bench_cold_start(results_recorder):
     # Scalar path cost per new shape: the candidate loop plus the
     # config-feature matrix build the search needs (GEMM set warm).
     t0 = time.perf_counter()
-    ref_conv = conv_search.conv_candidates(device, CONV_SHAPE)
+    ref_conv = conv_candidates(device, CONV_SHAPE)
     ref_conv_mat = conv_config_matrix(ref_conv, log=True)
     conv_scalar_s = time.perf_counter() - t0
 
@@ -122,7 +119,7 @@ def test_bench_cold_start(results_recorder):
     new_bucket_s = time.perf_counter() - t0
     new_bucket_speedup = conv_vector_s / new_bucket_s
 
-    ref_new = conv_search.conv_candidates(device, NEW_BUCKET_SHAPE)
+    ref_new = conv_candidates(device, NEW_BUCKET_SHAPE)
     conv_identical = (
         conv_cfgs == ref_conv
         and np.array_equal(conv_mat, ref_conv_mat)
@@ -266,6 +263,9 @@ def _bucket_extents():
     return pairs[::3] + pairs[1::3] + pairs[2::3]
 
 
+# Run from the repo root with ``PYTHONPATH=src:.``: the scalar oracles
+# come from ``tests/oracles.py``, so the root must be on the path too
+# (``PYTHONPATH=src:. python benchmarks/bench_cold_start.py``).
 if __name__ == "__main__":
     class _Echo:
         def __call__(self, exp_id, text, data=None):

@@ -34,6 +34,7 @@ from repro.sampling.dataset import (
     fit_generative_models,
     generate_dataset,
 )
+from tests.oracles import generate_dataset_loop
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 N_BATCHED = int(os.environ.get(
@@ -66,9 +67,9 @@ def test_bench_offline_throughput(results_recorder):
     )
     batched_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    generate_dataset(
+    generate_dataset_loop(
         device, "gemm", N_LOOP, np.random.default_rng(2),
-        samplers=samplers, dtypes=(DType.FP32,), batched=False,
+        samplers=samplers, dtypes=(DType.FP32,),
     )
     loop_s = time.perf_counter() - t0
     batched_rate = N_BATCHED / batched_s

@@ -43,6 +43,7 @@ from repro.gpu.device import TESLA_P100
 from repro.inference.search import ExhaustiveSearch, Prediction
 from repro.mlp.crossval import fit_regressor
 from repro.sampling.dataset import fit_generative_models, generate_dataset
+from tests.oracles import predictions_reference
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 #: Each floor is at most 80% of the lowest of five runs per mode on the
@@ -67,7 +68,7 @@ QUERY_SHAPES = [
 def _seed_top_k(search: ExhaustiveSearch, shape, k: int) -> list[Prediction]:
     """The seed implementation: re-standardize the full design matrix."""
     configs, _ = search.candidates(shape)
-    preds = search.predictions_reference(shape)
+    preds = predictions_reference(search, shape)
     k = min(k, len(configs))
     top = np.argpartition(-preds, k - 1)[:k]
     top = top[np.argsort(-preds[top])]
@@ -215,6 +216,9 @@ def test_bench_search_latency(results_recorder):
     run_bench(results_recorder, cascade=True)
 
 
+# Run from the repo root with ``PYTHONPATH=src:.``: the scalar oracles
+# come from ``tests/oracles.py``, so the root must be on the path too
+# (``PYTHONPATH=src:. python benchmarks/bench_search_latency.py``).
 if __name__ == "__main__":
     import argparse
     import json

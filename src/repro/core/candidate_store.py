@@ -93,30 +93,19 @@ def collect_cache_records() -> list[tuple[tuple, str, tuple | None, dict]]:
     """Every in-memory enumeration as ``(key, op, space, columns)``.
 
     The export form both :meth:`CandidateStore.save` and the worker-tier
-    shared-memory boot consume: tuning-parameter columns only (records
-    from the scalar fallback have their columns recovered from the config
-    objects), ops no longer registered skipped.  CONV buckets are left
-    out: a process derives them from the GEMM enumeration.
+    shared-memory boot consume: tuning-parameter columns only, ops no
+    longer registered skipped.  CONV buckets are left out: a process
+    derives them from the GEMM enumeration.
     """
-    from repro.core.ops import get_op, registered_ops
-    from repro.core.soa import config_columns
+    from repro.core.ops import registered_ops
     from repro.inference.search import enum_cache_snapshot
 
-    out = []
-    for key, rec in enum_cache_snapshot().items():
-        if rec.op not in registered_ops():
-            continue  # transient op (e.g. a test spec since removed)
-        params = rec.params
-        if params is None:
-            # Scalar-path record: recover the columns from the objects.
-            if not rec.configs:
-                continue
-            spec = get_op(rec.op)
-            params = config_columns(
-                rec.configs, spec.config_type.param_names()
-            )
-        out.append((tuple(key), rec.op, rec.space_params, params))
-    return out
+    return [
+        (tuple(key), rec.op, rec.space_params, rec.params)
+        for key, rec in enum_cache_snapshot().items()
+        # A transient op (e.g. a test spec since removed) is skipped.
+        if rec.op in registered_ops()
+    ]
 
 
 def _retired(meta: Mapping) -> bool:

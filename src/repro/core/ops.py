@@ -9,18 +9,16 @@ bundles the per-operation ingredients that pipeline consumes:
 * the tuning :class:`~repro.core.space.ParamSpace` the generative model
   samples from, and the legality predicate carving X out of X̂;
 * feature extractors mapping configs/shapes to the MLP's design matrix;
-* a candidate supply for the runtime search — scalar (``candidates``)
-  plus the array-native ``candidates_batch`` slot returning configs and
-  their log-feature matrix from one cached, vectorized pass, with
-  ``candidate_key`` defining the cache bucket for per-shape generators
-  and ``candidate_groups`` the base those buckets share;
+* the array-native candidate supply for the runtime search
+  (``candidates_batch`` returns configs and their log-feature matrix
+  from one cached, vectorized pass), with ``candidate_key`` defining the
+  cache bucket for per-shape generators and ``candidate_groups`` the
+  base those buckets share;
 * the simulator benchmark functions standing in for kernel launches —
-  scalar and, for ops that register one, batched (``benchmark_many``
-  evaluates N (config, shape) pairs per call through the array-core
-  simulator; :meth:`OpSpec.benchmark_pairs` falls back to a scalar loop
-  for ops that don't);
-* an optional vectorized legality mask (``legal_mask``) so batched
-  rejection sampling can filter thousands of candidate configs per call;
+  scalar, and batched (``benchmark_many`` evaluates N (config, shape)
+  pairs per call through the array-core simulator);
+* a vectorized legality mask (``legal_mask``) so candidate enumeration
+  and batched rejection sampling filter whole columns per call;
 * a profile-cache key so tuned kernels persist across runs.
 
 Registering a spec (:func:`register_op`) makes the op available to every
@@ -47,12 +45,12 @@ from repro.gpu.device import DeviceSpec
 class OpSpec:
     """One tunable operation, as seen by every stage of the pipeline.
 
-    ``candidates(device, shape, space=None)`` returns the configs the
-    runtime search scores for one query shape.  ``enumerable=True``
-    declares that this set depends on the shape only through its dtype
-    (GEMM: the full legal set), so searches may cache per-(device, dtype);
-    otherwise candidates are generated per shape (CONV: tile
-    factorization).
+    ``candidates_batch(device, shape, space=None)`` returns the configs
+    the runtime search scores for one query shape, with their log-feature
+    matrix.  ``enumerable=True`` declares that this set depends on the
+    shape only through its dtype (GEMM: the full legal set), so searches
+    may cache per-(device, dtype); otherwise candidates are generated per
+    shape (CONV: tile factorization).
     """
 
     name: str
@@ -65,31 +63,27 @@ class OpSpec:
     is_legal: Callable[[Any, DType, DeviceSpec], bool]
     config_matrix: Callable[..., np.ndarray]
     shape_vector: Callable[..., np.ndarray]
-    candidates: Callable[..., list]
     simulate: Callable[..., Any]
     benchmark: Callable[..., float]
     make_shape_sampler: Callable[
         [tuple[DType, ...]], Callable[[np.random.Generator], Any]
     ]
     shape_key: Callable[[Any], str]
-    enumerable: bool = False
     #: Batched simulator entry points (struct-of-arrays, N pairs per call).
     #: ``benchmark_many(device, cfgs, shapes, *, reps, sigma) -> ndarray``
-    #: returns NaN for illegal pairs; ops without one fall back to a scalar
-    #: loop via :meth:`benchmark_pairs`.  ``simulate_many`` returns the full
+    #: returns NaN for illegal pairs; ``simulate_many`` returns the full
     #: :class:`~repro.gpu.simulator.KernelStatsArrays` batch.
-    benchmark_many: Callable[..., np.ndarray] | None = None
-    simulate_many: Callable[..., Any] | None = None
+    benchmark_many: Callable[..., np.ndarray]
+    simulate_many: Callable[..., Any]
     #: Vectorized legality: ``legal_mask(device, params, dtype) -> bool[]``
     #: over a name->column mapping (one row per candidate config).
-    legal_mask: Callable[..., np.ndarray] | None = None
+    legal_mask: Callable[..., np.ndarray]
     #: Array-native candidate supply:
     #: ``candidates_batch(device, shape, space=None) -> (configs, matrix)``
     #: returns the candidate list *and* its log-feature matrix in one call
     #: (vectorized enumeration / generation + shared caching behind it).
-    #: Ops without one fall back to the scalar ``candidates`` generator
-    #: plus a per-search ``config_matrix`` build.
-    candidates_batch: Callable[..., tuple[list, np.ndarray]] | None = None
+    candidates_batch: Callable[..., tuple[list, np.ndarray]]
+    enumerable: bool = False
     #: Overrides :meth:`candidate_cache_key` for non-enumerable ops whose
     #: candidate set depends on the shape only through a coarser bucket
     #: (CONV: the canonical batch and width extents its tile
@@ -107,11 +101,6 @@ class OpSpec:
     #: columns per set (CONV: one term per (device, dtype), six split
     #: columns per bucket).  Ops without one are the one-group case.
     candidate_groups: Callable[..., tuple] | None = None
-    #: Vectorized feature extraction over struct-of-arrays columns:
-    #: ``config_matrix_from_params(params, log=True) -> ndarray``,
-    #: bit-identical to ``config_matrix`` over the same configs.  Set only
-    #: by ops whose config features are exactly the raw tuning parameters.
-    config_matrix_from_params: Callable[..., np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -121,10 +110,6 @@ class OpSpec:
     @property
     def n_config_features(self) -> int:
         return len(self.config_features)
-
-    @property
-    def n_shape_features(self) -> int:
-        return len(self.shape_features)
 
     def config_from_point(self, point) -> Any:
         """Build a config from a space point / stored dict."""
@@ -139,6 +124,18 @@ class OpSpec:
             ]
         )
 
+    def config_matrix_from_params(
+        self, params, log: bool = True
+    ) -> np.ndarray:
+        """Config-feature matrix straight from struct-of-arrays columns.
+
+        Bit-identical to ``config_matrix`` over the same configs: every
+        registered op's config features are its raw tuning parameters.
+        """
+        from repro.sampling.features import config_matrix_from_params
+
+        return config_matrix_from_params(params, self.config_features, log)
+
     def benchmark_pairs(
         self,
         device: DeviceSpec,
@@ -150,32 +147,18 @@ class OpSpec:
     ) -> np.ndarray:
         """Measured TFLOPS for N (config, shape) pairs; NaN marks illegal pairs.
 
-        Dispatches to the op's registered ``benchmark_many`` array core
-        when present; otherwise loops over the scalar ``benchmark`` so
-        every op — including externally registered ones — supports the
-        batched offline pipeline.  Results are bit-identical between the
-        two paths (the array cores guarantee it; the parity tests enforce
-        it).
+        One call of the op's ``benchmark_many`` array core, bit-identical
+        to the scalar ``benchmark`` of each pair (the parity tests
+        enforce it).
         """
         from repro.gpu.noise import DEFAULT_SIGMA
-        from repro.gpu.simulator import IllegalKernelError
 
         if len(cfgs) != len(shapes):
             raise ValueError(f"{len(cfgs)} configs vs {len(shapes)} shapes")
         sigma = DEFAULT_SIGMA if sigma is None else sigma
-        if self.benchmark_many is not None:
-            return self.benchmark_many(
-                device, cfgs, shapes, reps=reps, sigma=sigma
-            )
-        out = np.empty(len(cfgs))
-        for i, (cfg, shape) in enumerate(zip(cfgs, shapes)):
-            try:
-                out[i] = self.benchmark(
-                    device, cfg, shape, reps=reps, sigma=sigma
-                )
-            except IllegalKernelError:
-                out[i] = np.nan
-        return out
+        return self.benchmark_many(
+            device, cfgs, shapes, reps=reps, sigma=sigma
+        )
 
     def candidate_cache_key(
         self, device: DeviceSpec, shape, space: ParamSpace | None = None
@@ -238,24 +221,12 @@ def registered_ops() -> tuple[str, ...]:
 # Built-in specs
 # ----------------------------------------------------------------------
 
-def _gemm_candidates(device: DeviceSpec, shape, space=None) -> list:
-    from repro.inference.search import legal_configs
-
-    return legal_configs(device, shape.dtype, "gemm", space)[0]
-
-
 def _gemm_candidates_batch(
     device: DeviceSpec, shape, space=None
 ) -> tuple[list, np.ndarray]:
     from repro.inference.search import legal_configs
 
     return legal_configs(device, shape.dtype, "gemm", space)
-
-
-def _conv_candidates(device: DeviceSpec, shape, space=None) -> list:
-    from repro.inference.conv_search import conv_candidates
-
-    return conv_candidates(device, shape)
 
 
 def _conv_candidates_batch(
@@ -276,15 +247,6 @@ def _conv_candidate_groups(device: DeviceSpec, shape, space=None) -> tuple:
     from repro.inference.conv_search import conv_candidate_groups
 
     return conv_candidate_groups(device, shape)
-
-
-def _params_matrix(feature_names: tuple[str, ...]) -> Callable:
-    from repro.sampling.features import config_matrix_from_params
-
-    def build(params, log: bool = True) -> np.ndarray:
-        return config_matrix_from_params(params, feature_names, log)
-
-    return build
 
 
 def _make_gemm_spec() -> OpSpec:
@@ -326,7 +288,6 @@ def _make_gemm_spec() -> OpSpec:
         is_legal=is_legal_gemm,
         config_matrix=gemm_config_matrix,
         shape_vector=gemm_shape_vector,
-        candidates=_gemm_candidates,
         simulate=simulate_gemm,
         benchmark=benchmark_gemm,
         make_shape_sampler=make_shape_sampler,
@@ -336,7 +297,6 @@ def _make_gemm_spec() -> OpSpec:
         simulate_many=simulate_gemm_many,
         legal_mask=gemm_legal_mask,
         candidates_batch=_gemm_candidates_batch,
-        config_matrix_from_params=_params_matrix(GEMM_CONFIG_FEATURES),
     )
 
 
@@ -379,7 +339,6 @@ def _make_conv_spec() -> OpSpec:
         is_legal=is_legal_conv,
         config_matrix=conv_config_matrix,
         shape_vector=conv_shape_vector,
-        candidates=_conv_candidates,
         simulate=simulate_conv,
         benchmark=benchmark_conv,
         make_shape_sampler=make_shape_sampler,
@@ -391,7 +350,6 @@ def _make_conv_spec() -> OpSpec:
         candidates_batch=_conv_candidates_batch,
         candidate_key=_conv_candidate_key,
         candidate_groups=_conv_candidate_groups,
-        config_matrix_from_params=_params_matrix(CONV_CONFIG_FEATURES),
     )
 
 
@@ -442,7 +400,6 @@ def _make_bgemm_spec() -> OpSpec:
         is_legal=is_legal_gemm,
         config_matrix=gemm_config_matrix,
         shape_vector=bgemm_shape_vector,
-        candidates=_gemm_candidates,
         simulate=simulate_batched_gemm,
         benchmark=benchmark_batched_gemm,
         make_shape_sampler=make_shape_sampler,
@@ -452,7 +409,6 @@ def _make_bgemm_spec() -> OpSpec:
         simulate_many=simulate_bgemm_many,
         legal_mask=gemm_legal_mask,
         candidates_batch=_gemm_candidates_batch,
-        config_matrix_from_params=_params_matrix(GEMM_CONFIG_FEATURES),
     )
 
 

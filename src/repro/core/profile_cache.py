@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core import integrity
@@ -28,12 +27,6 @@ def _inject(site: str, path: Path | None = None) -> None:
     from repro.service.faults import inject
 
     inject(site, path)
-
-
-@dataclass(frozen=True)
-class CachedKernel:
-    config_dict: dict
-    measured_tflops: float
 
 
 class ProfileCache:

@@ -27,34 +27,6 @@ def _column(objs: Sequence, attr: str) -> np.ndarray:
     return np.array([getattr(o, attr) for o in objs], dtype=np.int64)
 
 
-def config_columns(
-    configs: Sequence, param_names: tuple[str, ...] | None = None
-) -> dict[str, np.ndarray]:
-    """Tuning-parameter columns (one int64 array each) for N configs.
-
-    The inverse of :func:`configs_from_columns`; used when a candidate set
-    produced by the scalar path must be persisted in array form.
-    """
-    if param_names is None:
-        param_names = type(configs[0]).param_names()
-    return {n: _column(configs, n) for n in param_names}
-
-
-def configs_from_columns(
-    config_type: type, params: dict[str, np.ndarray]
-) -> list:
-    """Materialize config objects from struct-of-arrays columns.
-
-    Columns are consumed in ``param_names`` (= dataclass field) order, so
-    the positional constructor applies; ``tolist`` hands the constructor
-    native ints.  Row ``i`` equals ``config_type.from_dict(point_i)`` for
-    the corresponding space point.
-    """
-    names = config_type.param_names()
-    cols = [np.asarray(params[n]).tolist() for n in names]
-    return [config_type(*row) for row in zip(*cols)]
-
-
 class LazyConfigList(_SequenceABC):
     """An immutable config sequence materialized per index from columns.
 

@@ -14,8 +14,6 @@ from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from repro.core.config import ConvConfig, GemmConfig
-
 
 @dataclass(frozen=True)
 class ParamSpace:
@@ -128,14 +126,6 @@ def table1_space(base: ParamSpace) -> ParamSpace:
         for name, vals in base.params
     )
     return ParamSpace(name=f"{base.name}-table1", params=params)
-
-
-def gemm_config_from_point(point: Mapping[str, int]) -> GemmConfig:
-    return GemmConfig.from_dict(point)
-
-
-def conv_config_from_point(point: Mapping[str, int]) -> ConvConfig:
-    return ConvConfig.from_dict(point)
 
 
 def enumerate_legal(

@@ -14,7 +14,7 @@ they define the trade-off surface the auto-tuner learns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.types import DType
 
@@ -76,10 +76,6 @@ class DeviceSpec:
     @property
     def clock_ghz(self) -> float:
         return self.boost_mhz / 1000.0
-
-    @property
-    def cores_per_sm(self) -> int:
-        return self.cuda_cores // self.sms
 
     def peak_tflops(self, dtype: DType = DType.FP32) -> float:
         """Peak arithmetic throughput: 2 FLOPs per FMA per lane per cycle."""

@@ -502,22 +502,10 @@ def benchmark_conv(
 # ----------------------------------------------------------------------
 
 def simulate_many(device: DeviceSpec, op, cfgs, shapes, **kwargs):
-    """Batched noise-free evaluation for any registered op.
-
-    Ops exposing a vectorized path (``gemm``/``conv``/``bgemm``) run it;
-    there is no loop fallback here because a :class:`KernelStatsArrays`
-    cannot be stitched from scalar rows cheaply — use
-    :func:`benchmark_many` (which does fall back) when only measurements
-    are needed.
-    """
+    """Batched noise-free evaluation for any registered op."""
     from repro.core.ops import get_op
 
-    spec = get_op(op)
-    if spec.simulate_many is None:
-        raise ValueError(
-            f"op {spec.name!r} registers no batched simulate path"
-        )
-    return spec.simulate_many(device, cfgs, shapes, **kwargs)
+    return get_op(op).simulate_many(device, cfgs, shapes, **kwargs)
 
 
 def benchmark_many(
@@ -531,8 +519,8 @@ def benchmark_many(
 ) -> np.ndarray:
     """Measured TFLOPS for N (config, shape) pairs of any registered op.
 
-    Dispatches to the op's ``benchmark_many`` slot when registered, else
-    loops over the scalar benchmark; either way illegal pairs yield NaN.
+    Dispatches to the op's ``benchmark_many`` slot; illegal pairs yield
+    NaN.
     """
     from repro.core.ops import get_op
 

@@ -48,10 +48,6 @@ class AppResult:
     def isaac_tflops(self) -> float:
         return self.step.total_flops / self.isaac_ms / 1e9
 
-    @property
-    def baseline_tflops(self) -> float:
-        return self.step.total_flops / self.baseline_ms / 1e9
-
 
 def _kernel_time_ms(device, shape, cfg, op) -> float:
     return get_op(op).simulate(device, cfg, shape).time_ms

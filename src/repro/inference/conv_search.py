@@ -14,10 +14,8 @@ input-aware factorization real libraries hand-code.  The result is a
 per-shape candidate list of a few 10^5 ConvConfigs, which the MLP scores
 exactly like GEMM candidates.
 
-Two supplies exist.  :func:`conv_candidates` is the scalar reference: a
-Python loop over the GEMM tile set, one projection / dedup / legality
-check at a time.  :func:`conv_candidates_batch` is the hot path, split at
-what the query decides.  Once per (device, dtype) it builds a *base*
+:func:`conv_candidates_batch` is the supply, split at what the query
+decides.  Once per (device, dtype) it builds a *base*
 (:func:`_build_base`): the GEMM survivors whose ``kg`` is a CONV ``cg``
 value and that pass ``conv_legal_mask``, with their eight GEMM-derived
 CONV columns ``kt kb u cs cl cg vec db``, those columns' log features and
@@ -31,9 +29,10 @@ features are the base's, shared by reference.  The result is cached per
 ``min(next_pow2(q), ml // nb)`` (legality reads only the dtype), so
 :func:`conv_bucket_key` clamps both extents to what the largest block
 tile can tell apart: every shape with the same tile factorization shares
-one candidate set, at most 45 per (device, dtype).  Both paths produce
-bit-identical (configs, matrix) results in identical order; the proof is
-in :func:`_build_base`.
+one candidate set, at most 45 per (device, dtype).  The result equals,
+bit for bit and in order, a Python loop that projects, dedups and
+legality-checks the GEMM tile set one row at a time (the tests' scalar
+oracle); the proof is in :func:`_build_base`.
 
 The search scores every bucket of a base through one first-layer term.
 The base also keeps its rows in tile-group order (``order``, a stable
@@ -51,15 +50,14 @@ from typing import ClassVar
 
 import numpy as np
 
-from repro.core.config import ConvConfig, GemmConfig
-from repro.core.legality import conv_legal_mask, is_legal_conv
+from repro.core.config import ConvConfig
+from repro.core.legality import conv_legal_mask
 from repro.core.space import CONV_SPACE, GEMM_SPACE
 from repro.core.types import ConvShape, DType
 from repro.gpu.device import DeviceSpec
 from repro.inference.search import (
     CandidateRecord,
     KeyedRecordCache,
-    legal_configs,
     legal_record,
 )
 from repro.sampling.features import config_matrix_from_params
@@ -103,52 +101,6 @@ def factorize_tile(
     if nt * pt * qt != thread or pt > pb:
         return None
     return nb, pb, qb, nt, pt, qt
-
-
-def conv_config_from_gemm(
-    g: GemmConfig, shape: ConvShape
-) -> ConvConfig | None:
-    """Project one implicit-GEMM tile onto the 5-D CONV parameterization."""
-    if g.kg not in CONV_SPACE.values("cg"):
-        return None
-    factors = factorize_tile(g.ml, g.ms, shape)
-    if factors is None:
-        return None
-    return ConvConfig(
-        **{c: getattr(g, src) for c, src in _FROM_GEMM.items()},
-        **dict(zip(_SPLIT, factors)),
-    )
-
-
-def conv_candidates(
-    device: DeviceSpec,
-    shape: ConvShape,
-    *,
-    max_candidates: int | None = None,
-) -> list[ConvConfig]:
-    """Legal CONV configs for one query shape, via tile factorization.
-
-    The scalar reference path; the runtime search goes through the
-    vectorized, bucket-cached :func:`conv_candidates_batch`.
-    """
-    gemm_cfgs, _ = legal_configs(device, shape.dtype, "gemm")
-    seen: set[tuple] = set()
-    out: list[ConvConfig] = []
-    for g in gemm_cfgs:
-        cfg = conv_config_from_gemm(g, shape)
-        if cfg is None:
-            continue
-        key = tuple(cfg.as_dict().values())
-        if key in seen:
-            continue
-        seen.add(key)
-        if is_legal_conv(cfg, shape.dtype, device):
-            out.append(cfg)
-            if max_candidates is not None and len(out) >= max_candidates:
-                break
-    if not out:
-        raise RuntimeError(f"no CONV candidate for {shape} on {device.name}")
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -213,9 +165,9 @@ def _is_pow2(col: np.ndarray) -> np.ndarray:
 def _build_base(device: DeviceSpec, dtype: DType) -> _ConvBase:
     """The rows, in order, that every bucket of (device, dtype) holds.
 
-    Per bucket, :func:`conv_candidates` keeps a GEMM row when ``kg`` is a
-    CONV ``cg`` value, its tile factorizes, its CONV row is new and that
-    row is legal.  For powers of two ``ml`` and ``ms`` only the first
+    Per bucket, the scalar walk keeps a GEMM row when ``kg`` is a CONV
+    ``cg`` value, its tile factorizes, its CONV row is new and that row
+    is legal.  For powers of two ``ml`` and ``ms`` only the first
     test and legality can drop a row, and neither reads the bucket:
 
     * *The factorization never fails.*  ``nb = min(n', ml)`` divides
@@ -338,7 +290,7 @@ def conv_candidate_groups(
 def _generate_bucket(
     device: DeviceSpec, shape: ConvShape
 ) -> CandidateRecord:
-    """Vectorized :func:`conv_candidates`: the base with this split.
+    """One bucket's candidates: the base with this split.
 
     Only the six split columns are computed: :func:`factorize_tile` per
     distinct tile of the base, taken to its rows.  The eight
@@ -378,7 +330,7 @@ def conv_candidates_batch(
 ) -> tuple[list[ConvConfig], np.ndarray]:
     """Candidates + log-feature matrix for one shape, via the bucket cache.
 
-    Bit-identical to ``conv_candidates`` followed by the op's
+    Bit-identical to the scalar walk followed by the op's
     ``config_matrix`` (same candidates, same order, same float64 bits),
     but derived as array arithmetic from the (device, dtype) base and
     shared by every shape with the same :func:`conv_bucket_key`.

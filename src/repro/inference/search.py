@@ -10,11 +10,15 @@ Which configurations are searched, and how they are featurized, comes from
 the :mod:`~repro.core.ops` registry — any registered op plugs in here
 unchanged.
 
-The hot path is pre-scaled and batched.  The candidate feature matrix is
+Every query is pre-scaled and batched.  The candidate feature matrix is
 standardized by the fit's x-scaler and folded through the MLP's first
 layer (the layer is affine, so column blocks contribute additively)::
 
     z1 = [Zc | Zs] @ W1 + b1 = (Za @ W1a + b1) + Zs @ W1s + Zt @ W1t
+
+so a fit the fold cannot take (no hidden layer, or features that are not
+the op's) is refused when its search is built.  The plain forward pass
+over the full design matrix is the tests' oracle, not a second path.
 
 Candidate sets come in *groups*: an op may declare
 (``OpSpec.candidate_groups``) that its sets of one (device, dtype) all
@@ -128,15 +132,14 @@ class CandidateRecord:
     ``params`` holds the surviving tuning-parameter columns of the
     vectorized enumeration — the persistable form the on-disk candidate
     store round-trips.  ``configs``/``matrix`` are materialized from the
-    columns on first use (or populated directly by the scalar fallback,
-    in which case ``params`` may be None).  ``space_params`` remembers
-    the value sets the set was enumerated from, so a record persisted
-    before a :class:`~repro.core.space.ParamSpace` edit is detected as
-    stale and re-enumerated instead of silently served.
+    columns on first use.  ``space_params`` remembers the value sets the
+    set was enumerated from, so a record persisted before a
+    :class:`~repro.core.space.ParamSpace` edit is detected as stale and
+    re-enumerated instead of silently served.
     """
 
     op: str
-    params: dict[str, np.ndarray] | None = None
+    params: dict[str, np.ndarray]
     matrix: np.ndarray | None = None
     configs: list | None = None
     space_params: tuple | None = None
@@ -148,22 +151,19 @@ class CandidateRecord:
     def materialize(self) -> "CandidateRecord":
         """Build configs + log-feature matrix from the stored columns.
 
-        Bit-identical to the scalar path: the columns preserve
-        ``iter_points`` ordering and the matrix applies the same float64
-        log transform (``tests`` and ``bench_cold_start`` assert it).
-        The configs sequence is a :class:`LazyConfigList` — objects are
-        constructed only for the rows a search actually touches (its
-        top-k slice), never for the whole 10^5-row set.
+        Bit-identical to the scalar walk of the space: the columns
+        preserve ``iter_points`` ordering and the matrix applies the same
+        float64 log transform (``tests`` and ``bench_cold_start`` assert
+        it against the oracle).  The configs sequence is a
+        :class:`LazyConfigList` — objects are constructed only for the
+        rows a search actually touches (its top-k slice), never for the
+        whole 10^5-row set.
         """
         spec = get_op(self.op)
-        if self.matrix is None and self.params is not None:
-            builder = spec.config_matrix_from_params
-            if builder is not None:
-                self.matrix = builder(self.params, log=True)
+        if self.matrix is None:
+            self.matrix = spec.config_matrix_from_params(self.params)
         if self.configs is None:
             self.configs = LazyConfigList(spec.config_type, self.params)
-        if self.matrix is None:  # op without a columns-native builder
-            self.matrix = spec.config_matrix(self.configs, log=True)
         return self
 
 
@@ -234,12 +234,6 @@ class KeyedRecordCache:
                 self._records[key] = rec
             return rec
 
-    def peek(self, key: Hashable) -> CandidateRecord | None:
-        """The ready record for ``key``, or None — never builds."""
-        with self._lock:
-            rec = self._records.get(key)
-        return rec if rec is not None and rec.ready else None
-
     def seed(self, key: Hashable, record: CandidateRecord) -> bool:
         """Publish a record if the key is absent; returns True if kept."""
         with self._lock:
@@ -279,41 +273,16 @@ def _check_enumerable(spec: OpSpec) -> None:
         )
 
 
-def _scalar_enumeration(
-    spec: OpSpec, device: DeviceSpec, dtype: DType, space: ParamSpace
-) -> tuple[list, np.ndarray]:
-    """Reference path: walk X̂ point by point through scalar ``is_legal``."""
-    configs: list = []
-    for point in space.iter_points():
-        cfg = spec.config_from_point(point)
-        if spec.is_legal(cfg, dtype, device):
-            configs.append(cfg)
-    return configs, spec.config_matrix(configs, log=True)
-
-
 def _enumerate_record(
     spec: OpSpec, device: DeviceSpec, dtype: DType, space: ParamSpace
 ) -> CandidateRecord:
     """Enumerate X for one (op, device, dtype, space) as a record.
 
-    Array-native when the op registers ``legal_mask``: materialize X̂ as
-    struct-of-arrays columns (:meth:`ParamSpace.grid`), apply the mask
-    once, and keep only the surviving columns — config objects and the
-    feature matrix are derived from them afterwards.  Ops without a mask
-    (or whose space doesn't cover the config fields) fall back to the
-    scalar walk.
+    Materialize X̂ as struct-of-arrays columns (:meth:`ParamSpace.grid`),
+    apply the op's ``legal_mask`` once, and keep only the surviving
+    columns — config objects and the feature matrix are derived from
+    them afterwards.
     """
-    names = set(space.names)
-    vectorizable = (
-        spec.legal_mask is not None
-        and set(spec.config_type.param_names()) <= names
-    )
-    if not vectorizable:
-        configs, matrix = _scalar_enumeration(spec, device, dtype, space)
-        return CandidateRecord(
-            op=spec.name, params=None, matrix=matrix, configs=configs,
-            space_params=space.params,
-        )
     cols = space.grid()
     mask = np.asarray(spec.legal_mask(device, cols, dtype), dtype=bool)
     idx = np.flatnonzero(mask)
@@ -355,24 +324,13 @@ def legal_configs(
 
     Only ops whose candidate set is shape-independent (``enumerable``) can
     be enumerated here.  Vectorized and cached: one ``legal_mask`` pass
-    over the gridded product space (tens of milliseconds for GEMM's ~2M
-    points, vs seconds for the scalar walk) is shared by every later
-    search, and thread-safe — concurrent callers enumerate each key once.
+    over the gridded product space (~0.5 s for GEMM's 1.89M points on a
+    2-CPU Xeon host, where the scalar walk in ``tests/oracles.py`` takes
+    ~16 s) is shared by every later search, and thread-safe — concurrent
+    callers enumerate each key once.
     """
     rec = legal_record(device, dtype, op, space)
     return rec.configs, rec.matrix
-
-
-def legal_configs_reference(
-    device: DeviceSpec,
-    dtype: DType,
-    op: str | OpSpec = "gemm",
-    space: ParamSpace | None = None,
-) -> tuple[list, np.ndarray]:
-    """Uncached scalar enumeration — the parity/benchmark reference."""
-    spec = get_op(op)
-    _check_enumerable(spec)
-    return _scalar_enumeration(spec, device, dtype, space or spec.space)
 
 
 def seed_enum_record(
@@ -391,19 +349,6 @@ def seed_enum_record(
 def enum_cache_snapshot() -> dict[Hashable, CandidateRecord]:
     """Current enumeration records (for the on-disk candidate store)."""
     return _LEGAL_CACHE.snapshot()
-
-
-def cached_matrix_for(configs: list) -> np.ndarray | None:
-    """The log-feature matrix already cached for this exact configs list.
-
-    Ops whose scalar ``candidates`` delegates to another op's
-    :func:`legal_configs` (bgemm-style) return the cached list itself;
-    matching by identity recovers its matrix without an O(n) rebuild.
-    """
-    for rec in _LEGAL_CACHE.snapshot().values():
-        if rec.configs is configs:
-            return rec.matrix
-    return None
 
 
 def clear_cache() -> None:
@@ -819,7 +764,9 @@ class ExhaustiveSearch:
     """Vectorized model evaluation over every legal tuning vector.
 
     ``op`` is any name registered with :func:`repro.core.ops.register_op`
-    (or an :class:`~repro.core.ops.OpSpec` directly).
+    (or an :class:`~repro.core.ops.OpSpec` directly).  The fit must be
+    one the fold takes — an MLP with at least one hidden layer over the
+    op's features — or construction raises ``ValueError``.
     """
 
     def __init__(
@@ -840,12 +787,13 @@ class ExhaustiveSearch:
         self._terms: dict[Hashable, _Term] = {}
         self._adopted: dict[Hashable, np.ndarray] = {}
         self._adopted_lo: dict[Hashable, np.ndarray] = {}
-        n_features = len(self._spec.feature_names)
-        self._folded = (
-            _FoldedMLP(fit, self._spec.n_config_features)
-            if _FoldedMLP.supports(fit, n_features)
-            else None
-        )
+        if not _FoldedMLP.supports(fit, len(self._spec.feature_names)):
+            raise ValueError(
+                f"fit cannot be folded for op {self._spec.name!r}: the "
+                "search needs an MLP with a hidden layer over the op's "
+                f"{len(self._spec.feature_names)} features"
+            )
+        self._folded = _FoldedMLP(fit, self._spec.n_config_features)
         self._cascade_enabled = bool(cascade)
         self._cascade_keep = max(1, int(cascade_keep))
         self._cascade: _Cascade | None = None
@@ -863,7 +811,7 @@ class ExhaustiveSearch:
     # ------------------------------------------------------------------
     def _refresh_fold(self) -> None:
         """Re-fold if the model/scaler was mutated in place (e.g. pruned)."""
-        if self._folded is None or self._folded.is_current():
+        if self._folded.is_current():
             return
         self._folded = _FoldedMLP(self._fit, self._spec.n_config_features)
         self._adopted.clear()  # prescaled against the stale fold
@@ -884,8 +832,6 @@ class ExhaustiveSearch:
         so once this returns no reader can ever pair the new weights
         with a stale prescaled term.
         """
-        if self._folded is None:
-            return False
         stale = not self._folded.is_current()
         self._refresh_fold()
         return stale
@@ -895,34 +841,11 @@ class ExhaustiveSearch:
         key = self._spec.candidate_cache_key(self._device, shape, self._space)
         cs = self._sets.get(key)
         if cs is None:
-            if self._spec.candidates_batch is not None:
-                # Array-native supply: list + log-feature matrix in one
-                # call, cached module-wide behind the op's candidate key.
-                configs, matrix = self._spec.candidates_batch(
-                    self._device, shape, self._space
-                )
-            else:
-                # Enumerable ops share one candidate set module-wide, so
-                # a later search instance must not rebuild the feature
-                # matrix the first one already paid for.
-                rec = (
-                    _LEGAL_CACHE.peek(key) if self._spec.enumerable
-                    else None
-                )
-                if rec is not None:
-                    configs, matrix = rec.configs, rec.matrix
-                else:
-                    configs = self._spec.candidates(
-                        self._device, shape, self._space
-                    )
-                    matrix = cached_matrix_for(configs)
-                    if matrix is None:
-                        matrix = self._spec.config_matrix(configs, log=True)
-                    if self._spec.enumerable:
-                        _LEGAL_CACHE.seed(key, CandidateRecord(
-                            op=self._spec.name, matrix=matrix,
-                            configs=configs,
-                        ))
+            # List + log-feature matrix in one call, cached module-wide
+            # behind the op's candidate key.
+            configs, matrix = self._spec.candidates_batch(
+                self._device, shape, self._space
+            )
             if self._spec.candidate_groups is not None:
                 groups = self._spec.candidate_groups(
                     self._device, shape, self._space
@@ -932,7 +855,7 @@ class ExhaustiveSearch:
             cs = _CandidateSet(configs=configs, cfg_matrix=matrix,
                                groups=groups)
             self._sets[key] = cs
-        if cs.term is None and self._folded is not None:
+        if cs.term is None:
             self._attach_term(cs)
         return cs
 
@@ -996,8 +919,6 @@ class ExhaustiveSearch:
         (space edit between export and attach) silently falls back to
         prescaling locally.
         """
-        if self._folded is None:
-            return
         self._adopted[key] = h0
 
     # ------------------------------------------------------------------
@@ -1017,7 +938,7 @@ class ExhaustiveSearch:
         weights and stage-1 form, the layer snapshot is still current,
         and every layer has the form stage 1 scores.
         """
-        if not self._cascade_enabled or self._folded is None:
+        if not self._cascade_enabled:
             return None
         calib = self._fit.cascade
         cas = self._cascade
@@ -1079,8 +1000,6 @@ class ExhaustiveSearch:
         from bit-identical ``A`` values, so the twin is bit-identical
         too); any mismatch falls back to casting locally.
         """
-        if self._folded is None:
-            return
         self._adopted_lo[key] = h0_lo
 
     def calibrate_cascade(
@@ -1103,11 +1022,6 @@ class ExhaustiveSearch:
         score (:meth:`_Cascade.applies`) gets no margins.
         """
         self._refresh_fold()
-        if self._folded is None:
-            raise RuntimeError(
-                "cascade calibration needs the folded fast path "
-                "(fit not foldable for this op)"
-            )
         from repro.mlp.serialize import fit_weights_digest
 
         cas = _Cascade(self._folded, {})
@@ -1218,28 +1132,11 @@ class ExhaustiveSearch:
     def predictions(self, shape) -> np.ndarray:
         """Predicted log2-TFLOPS for every candidate config at this shape."""
         cs = self._candidate_set(shape)
-        if self._folded is None:
-            return self._predict_reference(cs, shape)
         term = cs.term
         pred = self._folded.predict_batch(
             term.h0, term.starts, [self._first_layer(cs, shape)]
         )[0]
         return self._fit.y_scaler.inverse_transform(term.to_candidates(pred))
-
-    def predictions_reference(self, shape) -> np.ndarray:
-        """The unfolded path: build and re-standardize the full design
-        matrix per query.  Kept as the numerical reference the pre-scaled
-        path is regression-tested (and benchmarked) against."""
-        return self._predict_reference(self._candidate_set(shape), shape)
-
-    def _predict_reference(self, cs: _CandidateSet, shape) -> np.ndarray:
-        shape_vec = self._spec.shape_vector(shape, log=True)
-        design = np.hstack(
-            [cs.cfg_matrix, np.tile(shape_vec, (len(cs.configs), 1))]
-        )
-        z = self._fit.x_scaler.transform(design)
-        pred = self._fit.model.predict(z)
-        return self._fit.y_scaler.inverse_transform(pred)
 
     # ------------------------------------------------------------------
     def _select(self, configs: list, preds: np.ndarray, k: int, shape):
@@ -1257,23 +1154,7 @@ class ExhaustiveSearch:
 
     def top_k(self, shape, k: int = 100) -> list[Prediction]:
         """The k configs the model believes are fastest, best first."""
-        cs = self._candidate_set(shape)
-        if self._folded is not None:
-            ready = self._cascade_ready(cs, shape.dtype.name, k)
-            if ready is not None:
-                cas, delta = ready
-                c1 = self._first_layer(cs, shape)
-                t0 = time.perf_counter()
-                proxy = cas.proxies(self._lowres(cs), cs.term.starts, [c1])
-                self.cascade_stats.stage1_ms += (
-                    time.perf_counter() - t0
-                ) * 1e3
-                sel = self._cascade_finish(cs, k, proxy[0], delta, c1)
-                if sel is not None:
-                    return sel
-        preds = self.predictions(shape)
-        self.cascade_stats.exhaustive_queries += 1
-        return self._select(cs.configs, preds, k, shape)
+        return self.top_k_batch([shape], k)[0]
 
     def top_k_batch(
         self, shapes: Sequence, k: int = 100
@@ -1283,9 +1164,10 @@ class ExhaustiveSearch:
         Shapes whose candidate sets share a term (GEMM shapes of one
         dtype; CONV shapes of one dtype, whatever their buckets) are
         evaluated together chunk-wise, each with its own first-layer
-        constants; results match per-shape :meth:`top_k` exactly.
-        Cascade-eligible shapes run stage 1 in one pass over the term;
-        fallbacks rejoin the exhaustive batch path.
+        constants; a shape's answer does not depend on what shares its
+        pass, and :meth:`top_k` is the one-shape call.  Cascade-eligible
+        shapes run stage 1 in one pass over the term; fallbacks rejoin
+        the exhaustive batch path.
         """
         results: list[list[Prediction] | None] = [None] * len(shapes)
         sets = [self._candidate_set(shape) for shape in shapes]
@@ -1293,10 +1175,6 @@ class ExhaustiveSearch:
         for i, cs in enumerate(sets):
             by_term.setdefault(cs.groups[0], []).append(i)
         for idxs in by_term.values():
-            if self._folded is None:
-                for i in idxs:
-                    results[i] = self.top_k(shapes[i], k)
-                continue
             term = sets[idxs[0]].term
             n = len(term.h0)
             c1 = {i: self._first_layer(sets[i], shapes[i]) for i in idxs}

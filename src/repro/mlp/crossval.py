@@ -2,9 +2,8 @@
 
 The paper reports "cross-validation MSE ... measured on a fixed set of
 10,000 data-points separate from the ... samples used for training" — i.e.
-held-out validation error on standardized targets.  ``holdout_mse`` is that
-protocol; ``kfold_mse`` is the classical rotation variant for smaller
-datasets.
+held-out validation error on standardized targets, which is the
+``val_mse`` :func:`fit_regressor` returns.
 """
 
 from __future__ import annotations
@@ -137,46 +136,4 @@ def _maybe_log(x: np.ndarray, log: bool) -> np.ndarray:
     out = np.asarray(x, dtype=np.float64).copy()
     mask = out > 0
     out[mask] = np.log2(out[mask])
-    return out
-
-
-def holdout_mse(
-    x: np.ndarray,
-    y: np.ndarray,
-    *,
-    val_frac: float = 0.1,
-    seed: int = 0,
-    **fit_kwargs,
-) -> float:
-    """The paper's protocol: one held-out split, standardized-target MSE."""
-    rng = np.random.default_rng(seed)
-    idx = rng.permutation(len(y))
-    n_val = max(1, int(len(y) * val_frac))
-    val, tr = idx[:n_val], idx[n_val:]
-    result = fit_regressor(x[tr], y[tr], x[val], y[val], seed=seed, **fit_kwargs)
-    return result.val_mse
-
-
-def kfold_mse(
-    x: np.ndarray,
-    y: np.ndarray,
-    *,
-    k: int = 5,
-    seed: int = 0,
-    **fit_kwargs,
-) -> list[float]:
-    """Classical k-fold rotation; returns per-fold validation MSE."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    rng = np.random.default_rng(seed)
-    idx = rng.permutation(len(y))
-    folds = np.array_split(idx, k)
-    out = []
-    for i in range(k):
-        val = folds[i]
-        tr = np.concatenate([folds[j] for j in range(k) if j != i])
-        result = fit_regressor(
-            x[tr], y[tr], x[val], y[val], seed=seed + i, **fit_kwargs
-        )
-        out.append(result.val_mse)
     return out

@@ -31,9 +31,6 @@ class StandardScaler:
         self._check()
         return (np.atleast_2d(np.asarray(x, dtype=np.float64)) - self.mean_) / self.scale_
 
-    def fit_transform(self, x: np.ndarray) -> np.ndarray:
-        return self.fit(x).transform(x)
-
     def inverse_transform(self, x: np.ndarray) -> np.ndarray:
         self._check()
         return np.atleast_2d(x) * self.scale_ + self.mean_
@@ -63,9 +60,6 @@ class TargetScaler:
         if not self._fitted:
             raise RuntimeError("scaler used before fit()")
         return (np.asarray(y, dtype=np.float64) - self.mean_) / self.scale_
-
-    def fit_transform(self, y: np.ndarray) -> np.ndarray:
-        return self.fit(y).transform(y)
 
     def inverse_transform(self, y: np.ndarray) -> np.ndarray:
         if not self._fitted:

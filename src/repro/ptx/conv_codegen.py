@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from repro.core.config import ConvConfig
 from repro.core.legality import conv_resources
-from repro.core.types import ConvShape, DType, GemmShape, ceil_div
+from repro.core.types import ConvShape, DType, ceil_div
 from repro.gpu.device import DeviceSpec
 from repro.ptx.counts import BlockCounts, KernelCounts
 from repro.ptx.gemm_codegen import (
@@ -59,9 +59,6 @@ class ConvKernel:
         return self.allow_fp16x2 and uses_packed_fp16(
             self.cfg, self.shape, self.device
         )
-
-    def implicit_gemm_shape(self) -> GemmShape:
-        return self.shape.implicit_gemm()
 
     def block_counts(self) -> BlockCounts:
         cfg, shape = self.cfg, self.shape

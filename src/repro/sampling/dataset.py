@@ -7,6 +7,10 @@ deterministic measurement noise.  Shapes are drawn log-uniformly over the
 practically relevant ranges so the benchmark suites of §7 are squarely
 in-distribution; configs come from the fitted categorical generative model
 (rejection-sampled to legality).
+
+Generation is batched (:func:`generate_dataset`); the one-sample-per-trip
+loop that reproduces the pre-batching datasets is a test oracle
+(``tests/oracles.py``), not a second path.
 """
 
 from __future__ import annotations
@@ -200,10 +204,10 @@ def _sample_legal_configs(
 
     Draws struct-of-arrays batches from the generative model and filters
     them through the op's vectorized legality mask; falls back to per-point
-    :meth:`~repro.sampling.generative.CategoricalModel.sample_legal` when
-    either side lacks the batched API.
+    :meth:`~repro.sampling.generative.CategoricalModel.sample_legal` for a
+    sampler without ``sample_batch`` (the MRF).
     """
-    if spec.legal_mask is None or not hasattr(model, "sample_batch"):
+    if not hasattr(model, "sample_batch"):
         accept = _make_accept(device, spec, dtype)
         return [
             spec.config_from_point(model.sample_legal(accept, rng))
@@ -245,7 +249,6 @@ def generate_dataset(
     sigma: float = DEFAULT_SIGMA,
     reps: int = 1,
     dtypes: Sequence[DType] | None = None,
-    batched: bool = True,
 ) -> Dataset:
     """Benchmark ``n`` random legal kernels of ``op`` on the simulated device.
 
@@ -253,16 +256,10 @@ def generate_dataset(
     generative model, legality, the simulator benchmark and the feature
     encoding — comes from the op's :class:`~repro.core.ops.OpSpec`.
 
-    The default path is *sample shapes, then batch-evaluate*: all ``n``
-    shapes are drawn first, configs are batch-rejection-sampled per dtype
-    through the op's vectorized legality mask, and one
+    All ``n`` shapes are drawn first, configs are batch-rejection-sampled
+    per dtype through the op's vectorized legality mask, and one
     ``OpSpec.benchmark_pairs`` call prices the whole batch through the
-    array-core simulator.  ``batched=False`` runs the legacy per-sample
-    loop instead, whose RNG consumption order (shape, then config, per
-    sample) is preserved exactly — a fixed seed reproduces pre-batching
-    datasets bit for bit.  Both paths are deterministic for a fixed seed;
-    they draw the same distribution but consume the RNG in different
-    orders, so their datasets differ sample-by-sample.
+    array-core simulator.  Deterministic for a fixed seed.
     """
     spec = get_op(op)
     dtypes = spec.default_dtypes if dtypes is None else tuple(dtypes)
@@ -271,13 +268,6 @@ def generate_dataset(
         device, op=spec, dtypes=dtypes, rng=rng
     )
     feature_names = spec.feature_names
-    if not batched:
-        return _generate_dataset_loop(
-            device, spec, n, rng,
-            samplers=samplers, shape_sampler=shape_sampler,
-            sigma=sigma, reps=reps,
-        )
-
     shapes = [shape_sampler(rng) for _ in range(n)]
     configs: list = [None] * n
     by_dtype: dict[DType, list[int]] = {}
@@ -314,42 +304,6 @@ def generate_dataset(
     return Dataset(xs, ys, feature_names)
 
 
-def _generate_dataset_loop(
-    device: DeviceSpec,
-    spec: OpSpec,
-    n: int,
-    rng: np.random.Generator,
-    *,
-    samplers: dict[DType, CategoricalModel],
-    shape_sampler: Callable[[np.random.Generator], object],
-    sigma: float,
-    reps: int,
-) -> Dataset:
-    """Legacy per-sample path: one shape, one config, one benchmark per trip.
-
-    Kept as the reference the batched path is benchmarked against, and for
-    samplers without a batch API.  The acceptance closures are built once
-    per dtype up front rather than once per sample.
-    """
-    feature_names = spec.feature_names
-    accepts: dict[DType, Callable] = {}
-    xs = np.empty((n, len(feature_names)))
-    ys = np.empty(n)
-    for i in range(n):
-        shape = shape_sampler(rng)
-        accept = accepts.get(shape.dtype)
-        if accept is None:
-            accept = accepts.setdefault(
-                shape.dtype, _make_accept(device, spec, shape.dtype)
-            )
-        point = samplers[shape.dtype].sample_legal(accept, rng)
-        cfg = spec.config_from_point(point)
-        tflops = spec.benchmark(device, cfg, shape, reps=reps, sigma=sigma)
-        xs[i] = spec.encode(cfg, shape, log=False)
-        ys[i] = np.log2(max(tflops, 1e-6))
-    return Dataset(xs, ys, feature_names)
-
-
 def generate_gemm_dataset(
     device: DeviceSpec,
     n: int,
@@ -360,13 +314,12 @@ def generate_gemm_dataset(
     sigma: float = DEFAULT_SIGMA,
     reps: int = 1,
     dtypes: Sequence[DType] = (DType.FP32, DType.FP16, DType.FP64),
-    batched: bool = True,
 ) -> Dataset:
     """Benchmark ``n`` random legal GEMM kernels on the simulated device."""
     return generate_dataset(
         device, "gemm", n, rng,
         samplers=samplers, shape_sampler=shape_sampler,
-        sigma=sigma, reps=reps, dtypes=dtypes, batched=batched,
+        sigma=sigma, reps=reps, dtypes=dtypes,
     )
 
 
@@ -380,11 +333,10 @@ def generate_conv_dataset(
     sigma: float = DEFAULT_SIGMA,
     reps: int = 1,
     dtypes: Sequence[DType] = (DType.FP32, DType.FP16),
-    batched: bool = True,
 ) -> Dataset:
     """Benchmark ``n`` random legal CONV kernels on the simulated device."""
     return generate_dataset(
         device, "conv", n, rng,
         samplers=samplers, shape_sampler=shape_sampler,
-        sigma=sigma, reps=reps, dtypes=dtypes, batched=batched,
+        sigma=sigma, reps=reps, dtypes=dtypes,
     )

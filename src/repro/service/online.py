@@ -585,11 +585,6 @@ class OnlineLearner:
             state = self._states.get((device, op))
             return state.version if state is not None else 0
 
-    def latest_fit(self, device: str, op: str) -> FitResult | None:
-        with self._lock:
-            state = self._states.get((device, op))
-            return state.fit if state is not None else None
-
     def update_log(self) -> tuple[UpdateRecord, ...]:
         with self._lock:
             return tuple(self._log)

@@ -50,7 +50,7 @@ import hashlib
 import queue
 import threading
 from concurrent.futures import Future
-from typing import Any, Sequence
+from typing import Sequence
 
 __all__ = ["WorkerCrashed", "WorkerPool"]
 

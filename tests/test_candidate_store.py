@@ -146,7 +146,7 @@ class TestCandidateStore:
                                       s=3)
         conv_search.conv_candidates_batch(GTX_980_TI, shape)
         key = conv_search.conv_bucket_key(GTX_980_TI, shape)
-        columns = conv_search._BUCKET_CACHE.peek(key).params
+        columns = conv_search._BUCKET_CACHE.snapshot()[key].params
         old = tmp_path / "conv-bucket--conv--gtx-980-ti--fp32--32--8.npz"
         meta = {"version": candidate_store._VERSION, "kind": "conv-bucket",
                 "op": "conv", "key": list(key), "space": None}

@@ -44,6 +44,7 @@ from repro.mlp.serialize import (
 from repro.service.engine import Engine, KernelRequest, WorkerEngine
 from repro.service.online import OnlineConfig
 from repro.workloads.networks import NetworkStep
+from tests.oracles import predictions_reference
 
 DEVICE = TESLA_P100.name
 
@@ -149,7 +150,7 @@ def test_golden_shortlist_parity_all_ops(
     # Stage 2 also reproduces the unfolded reference ranking: the top-k
     # scores come from the same prediction vector (within the folded
     # path's regression tolerance, see test_ops_registry).
-    ref = tuner.searcher.predictions_reference(shapes[0])
+    ref = predictions_reference(tuner.searcher, shapes[0])
     want = np.sort(ref)[-25:][::-1]
     got = np.array([p.predicted_tflops for p in cas_s[0]])
     np.testing.assert_allclose(np.log2(got), want, rtol=0, atol=2e-9)

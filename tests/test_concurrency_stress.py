@@ -43,6 +43,7 @@ def _ready_record() -> CandidateRecord:
     cfg = GemmConfig(ms=8, ns=8, ml=64, nl=64, u=8, vec=2, db=2)
     return CandidateRecord(
         op="gemm",
+        params={n: np.array([v]) for n, v in cfg.as_dict().items()},
         matrix=np.zeros((1, len(cfg.as_dict()))),
         configs=[cfg],
     )

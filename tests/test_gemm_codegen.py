@@ -1,7 +1,7 @@
 """Tests for the GEMM kernel generator's instruction accounting."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from repro.core.config import GemmConfig
 from repro.core.legality import is_legal_gemm

@@ -18,9 +18,7 @@ from repro.gpu.device import GTX_980_TI, TESLA_P100
 from repro.gpu.simulator import benchmark_gemm
 from repro.inference.conv_search import (
     conv_bucket_key,
-    conv_candidates,
     conv_candidates_batch,
-    conv_config_from_gemm,
     factorize_tile,
 )
 from repro.inference import partition
@@ -29,11 +27,16 @@ from repro.inference.search import (
     ExhaustiveSearch,
     _Cascade,
     legal_configs,
-    legal_configs_reference,
 )
 from repro.inference.topk import best_after_rerank, rerank
 from repro.mlp.crossval import fit_regressor
 from repro.sampling.dataset import generate_gemm_dataset
+from tests.oracles import (
+    conv_candidates,
+    conv_config_from_gemm,
+    legal_configs_reference,
+    predictions_reference,
+)
 
 
 class TestLegalConfigs:
@@ -151,6 +154,20 @@ class TestExhaustiveSearch:
     def test_rejects_unknown_op(self, tiny_fit):
         with pytest.raises(ValueError):
             ExhaustiveSearch(tiny_fit, TESLA_P100, "sort")
+
+    def test_refuses_a_fit_without_a_hidden_layer(self):
+        """The search folds the first layer and scores the rest, so a
+        linear fit has nothing to score: it is refused when the search
+        is built, not served by a second path."""
+        ds = generate_gemm_dataset(
+            TESLA_P100, 120, np.random.default_rng(5), dtypes=(DType.FP32,)
+        )
+        fit = fit_regressor(
+            ds.x[:100], ds.y[:100], ds.x[100:], ds.y[100:],
+            hidden=(), epochs=2,
+        )
+        with pytest.raises(ValueError, match="hidden layer"):
+            ExhaustiveSearch(fit, TESLA_P100, "gemm")
 
 
 class TestRerank:
@@ -355,10 +372,12 @@ class TestConvBuckets:
         assert cached == fresh
         assert np.array_equal(cached_mat, fresh_mat)
 
-    def test_search_groups_bucket_shapes_together(self, tiny_fit):
+    def test_search_groups_bucket_shapes_together(self, small_conv_tuner):
         """ExhaustiveSearch keys CONV candidate sets by bucket, so shapes
         in one bucket share the candidate set (and its h0 fold)."""
-        search = ExhaustiveSearch(tiny_fit, TESLA_P100, "conv")
+        search = ExhaustiveSearch(
+            small_conv_tuner.fit_result, TESLA_P100, "conv"
+        )
         same = ConvShape.from_output(n=3, p=9, q=13, k=32, c=64, r=3, s=3)
         a = search.candidates(self.SHAPE)
         b = search.candidates(same)
@@ -701,7 +720,7 @@ def test_proxy_gap_within_margin_on_whole_sets(op, request, force_width):
             term.to_candidates(scores[1])
         )
         np.testing.assert_allclose(
-            model, search.predictions_reference(shape), rtol=0, atol=2e-9
+            model, predictions_reference(search, shape), rtol=0, atol=2e-9
         )
 
 

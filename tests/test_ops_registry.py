@@ -17,13 +17,18 @@ import numpy as np
 import pytest
 
 from repro.core.config import GemmConfig
-from repro.core.legality import is_legal_gemm
+from repro.core.legality import gemm_legal_mask, is_legal_gemm
 from repro.core.ops import OpSpec, get_op, register_op, registered_ops, unregister_op
 from repro.core.profile_cache import ProfileCache
 from repro.core.tuner import Isaac
 from repro.core.types import DType, GemmShape
 from repro.gpu.device import TESLA_P100
-from repro.gpu.simulator import benchmark_gemm, simulate_gemm
+from repro.gpu.simulator import (
+    benchmark_gemm,
+    benchmark_gemm_many,
+    simulate_gemm,
+    simulate_gemm_many,
+)
 from repro.inference.search import ExhaustiveSearch, legal_configs
 from repro.mlp.crossval import fit_regressor
 from repro.sampling.dataset import GemmShapeSampler, generate_dataset
@@ -34,6 +39,7 @@ from repro.sampling.features import (
     gemm_shape_vector,
 )
 from tests.conftest import TINY_GEMM_SPACE
+from tests.oracles import predictions_reference
 
 
 def _make_toy_spec(name: str = "toygemm") -> OpSpec:
@@ -53,9 +59,6 @@ def _make_toy_spec(name: str = "toygemm") -> OpSpec:
         is_legal=is_legal_gemm,
         config_matrix=gemm_config_matrix,
         shape_vector=gemm_shape_vector,
-        candidates=lambda device, shape, space=None: legal_configs(
-            device, shape.dtype, name, space
-        )[0],
         simulate=simulate_gemm,
         benchmark=benchmark_gemm,
         make_shape_sampler=lambda dtypes: GemmShapeSampler(
@@ -63,6 +66,12 @@ def _make_toy_spec(name: str = "toygemm") -> OpSpec:
             dtypes=tuple(dtypes),
         ),
         shape_key=lambda s: f"{s.m}x{s.n}x{s.k}|{s.dtype.name}|{s.layout_code}",
+        benchmark_many=benchmark_gemm_many,
+        simulate_many=simulate_gemm_many,
+        legal_mask=gemm_legal_mask,
+        candidates_batch=lambda device, shape, space=None: legal_configs(
+            device, shape.dtype, name, space
+        ),
         enumerable=True,
     )
 
@@ -167,7 +176,7 @@ class TestPreScaledPath:
         )
         for shape in SHAPES:
             fast = search.predictions(shape)
-            ref = search.predictions_reference(shape)
+            ref = predictions_reference(search, shape)
             assert fast.shape == ref.shape
             np.testing.assert_allclose(fast, ref, rtol=0, atol=1e-9)
 
@@ -186,7 +195,7 @@ class TestPreScaledPath:
         try:
             np.testing.assert_allclose(
                 search.predictions(shape),
-                search.predictions_reference(shape),
+                predictions_reference(search, shape),
                 rtol=0, atol=1e-9,
             )
         finally:

@@ -34,6 +34,7 @@ from repro.sampling.dataset import (
     fit_generative_models,
     generate_dataset,
 )
+from tests.oracles import generate_dataset_loop
 
 # ----------------------------------------------------------------------
 # Golden measurements captured from the pre-refactor scalar chain
@@ -150,8 +151,9 @@ GOLDEN = [
      "0x1.25f55c4ca9c2ap+0"),
 ]
 
-#: sha256 of Dataset.x / Dataset.y bytes for the legacy (batched=False)
-#: generation path, captured pre-refactor: same seed -> same dataset.
+#: sha256 of Dataset.x / Dataset.y bytes for the per-sample generation
+#: loop (tests/oracles.py), captured pre-refactor: same seed -> same
+#: dataset.
 DATASET_GOLDEN = [
     ("gemm", "GTX 980 TI", 12, 7,
      "4cd3768708320a38539bdfb987a84f219fc310656749aa5a54d4f21d7fa70f6f",
@@ -369,7 +371,7 @@ class TestIllegalHandling:
 
 
 class TestDatasetDeterminism:
-    """Fixed seed -> identical Dataset; legacy path -> pre-refactor bytes."""
+    """Fixed seed -> identical Dataset; oracle loop -> pre-refactor bytes."""
 
     @pytest.mark.parametrize(
         "op,dev,n,seed,x_sha,y_sha",
@@ -379,9 +381,9 @@ class TestDatasetDeterminism:
     def test_legacy_path_reproduces_prerefactor_dataset(
         self, op, dev, n, seed, x_sha, y_sha
     ):
-        ds = generate_dataset(
+        ds = generate_dataset_loop(
             get_device(dev), op, n, np.random.default_rng(seed),
-            dtypes=(DType.FP32,), batched=False,
+            dtypes=(DType.FP32,),
         )
         assert hashlib.sha256(ds.x.tobytes()).hexdigest() == x_sha
         assert hashlib.sha256(ds.y.tobytes()).hexdigest() == y_sha
@@ -389,10 +391,11 @@ class TestDatasetDeterminism:
     @pytest.mark.parametrize("batched", [False, True])
     def test_fixed_seed_is_deterministic(self, batched):
         device = get_device("GTX 980 TI")
+        generate = generate_dataset if batched else generate_dataset_loop
         runs = [
-            generate_dataset(
+            generate(
                 device, "gemm", 40, np.random.default_rng(13),
-                dtypes=(DType.FP32,), batched=batched,
+                dtypes=(DType.FP32,),
             )
             for _ in range(2)
         ]

@@ -1,6 +1,5 @@
 """End-to-end tests of the Isaac tuner and the profile cache."""
 
-import numpy as np
 import pytest
 
 from repro.core.profile_cache import ProfileCache
