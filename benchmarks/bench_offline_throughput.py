@@ -34,7 +34,7 @@ from repro.sampling.dataset import (
     fit_generative_models,
     generate_dataset,
 )
-from tests.oracles import generate_dataset_loop
+from tests.oracles import SCALAR_BENCHMARK, generate_dataset_loop
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 N_BATCHED = int(os.environ.get(
@@ -86,7 +86,7 @@ def test_bench_offline_throughput(results_recorder):
     )
     many = spec.benchmark_pairs(device, cfgs, shapes, reps=RERANK_REPS)
     scalar = np.array([
-        spec.benchmark(device, c, s, reps=RERANK_REPS)
+        SCALAR_BENCHMARK[spec.name](device, c, s, reps=RERANK_REPS)
         for c, s in zip(cfgs, shapes)
     ])
     bit_identical = bool(np.array_equal(many, scalar))
@@ -108,7 +108,7 @@ def test_bench_offline_throughput(results_recorder):
     t0 = time.perf_counter()
     loop_vals = sorted(
         (
-            spec.benchmark(device, c, shape, reps=RERANK_REPS)
+            SCALAR_BENCHMARK[spec.name](device, c, shape, reps=RERANK_REPS)
             for c in shortlist_cfgs
         ),
         reverse=True,

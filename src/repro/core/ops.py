@@ -14,9 +14,10 @@ bundles the per-operation ingredients that pipeline consumes:
   from one cached, vectorized pass), with ``candidate_key`` defining the
   cache bucket for per-shape generators and ``candidate_groups`` the
   base those buckets share;
-* the simulator benchmark functions standing in for kernel launches —
-  scalar, and batched (``benchmark_many`` evaluates N (config, shape)
-  pairs per call through the array-core simulator);
+* the simulator entry points standing in for kernel launches — one
+  launch (``simulate``), and batched (``benchmark_many`` /
+  ``simulate_many`` evaluate N (config, shape) pairs per call through
+  the array-core simulator);
 * a vectorized legality mask (``legal_mask``) so candidate enumeration
   and batched rejection sampling filter whole columns per call;
 * a profile-cache key so tuned kernels persist across runs.
@@ -64,7 +65,6 @@ class OpSpec:
     config_matrix: Callable[..., np.ndarray]
     shape_vector: Callable[..., np.ndarray]
     simulate: Callable[..., Any]
-    benchmark: Callable[..., float]
     make_shape_sampler: Callable[
         [tuple[DType, ...]], Callable[[np.random.Generator], Any]
     ]
@@ -148,8 +148,9 @@ class OpSpec:
         """Measured TFLOPS for N (config, shape) pairs; NaN marks illegal pairs.
 
         One call of the op's ``benchmark_many`` array core, bit-identical
-        to the scalar ``benchmark`` of each pair (the parity tests
-        enforce it).
+        to the scalar benchmark of each pair (the parity tests in
+        ``tests`` hold it to the simulator's ``benchmark_gemm`` /
+        ``benchmark_conv`` / ``benchmark_batched_gemm``).
         """
         from repro.gpu.noise import DEFAULT_SIGMA
 
@@ -254,7 +255,6 @@ def _make_gemm_spec() -> OpSpec:
     from repro.core.legality import gemm_legal_mask, is_legal_gemm
     from repro.core.types import GemmShape
     from repro.gpu.simulator import (
-        benchmark_gemm,
         benchmark_gemm_many,
         simulate_gemm,
         simulate_gemm_many,
@@ -289,7 +289,6 @@ def _make_gemm_spec() -> OpSpec:
         config_matrix=gemm_config_matrix,
         shape_vector=gemm_shape_vector,
         simulate=simulate_gemm,
-        benchmark=benchmark_gemm,
         make_shape_sampler=make_shape_sampler,
         shape_key=shape_key,
         enumerable=True,
@@ -305,7 +304,6 @@ def _make_conv_spec() -> OpSpec:
     from repro.core.legality import conv_legal_mask, is_legal_conv
     from repro.core.types import ConvShape
     from repro.gpu.simulator import (
-        benchmark_conv,
         benchmark_conv_many,
         simulate_conv,
         simulate_conv_many,
@@ -340,7 +338,6 @@ def _make_conv_spec() -> OpSpec:
         config_matrix=conv_config_matrix,
         shape_vector=conv_shape_vector,
         simulate=simulate_conv,
-        benchmark=benchmark_conv,
         make_shape_sampler=make_shape_sampler,
         shape_key=shape_key,
         enumerable=False,
@@ -363,7 +360,6 @@ def _make_bgemm_spec() -> OpSpec:
     """
     from repro.core.batched import (
         BatchedGemmShape,
-        benchmark_batched_gemm,
         benchmark_bgemm_many,
         simulate_batched_gemm,
         simulate_bgemm_many,
@@ -401,7 +397,6 @@ def _make_bgemm_spec() -> OpSpec:
         config_matrix=gemm_config_matrix,
         shape_vector=bgemm_shape_vector,
         simulate=simulate_batched_gemm,
-        benchmark=benchmark_batched_gemm,
         make_shape_sampler=make_shape_sampler,
         shape_key=shape_key,
         enumerable=True,

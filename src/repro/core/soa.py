@@ -102,13 +102,14 @@ def _aligned(n: int) -> int:
 class SharedArrayPack:
     """Many named numpy arrays in one ``multiprocessing.shared_memory`` block.
 
-    The worker tier must hand each process the candidate state — survivor
-    columns, log-feature matrices, prescaled first-layer terms; ~160k rows
-    per enumeration — without a per-process copy.  ``create`` lays every
-    array out back-to-back (64-byte aligned) in a single segment and
-    returns a picklable *manifest* ``{name: (dtype_str, shape, offset)}``;
-    ``attach`` reopens the segment by name in another process and rebuilds
-    **read-only views** over the same physical pages.  One segment for the
+    The worker tier must hand each process the candidate state — the
+    enumerations' survivor columns and the first-layer terms (each ``A``
+    with its float32 twin); ~160k rows per enumeration — without a
+    per-process copy.  ``create`` lays every array out back-to-back
+    (64-byte aligned) in a single segment and returns a picklable
+    *manifest* ``{name: (dtype_str, shape, offset)}``; ``attach`` reopens
+    the segment by name in another process and rebuilds **read-only
+    views** over the same physical pages.  One segment for the
     whole state keeps the fd/page-table footprint constant in the number
     of records.
 

@@ -143,9 +143,10 @@ class Isaac:
     ):
         """(Re)calibrate the cascade margins and attach them to the fit.
 
-        Safe to call after an online fine-tune hot-swap: the fresh
-        calibration carries the new weights' digest, re-arming the
-        cascade that the swap disabled.  Deterministic for a given seed.
+        Safe to call after the weights changed in place (pruning, say):
+        the fresh calibration carries the new weights' digest, re-arming
+        the cascade that the change disabled.  Deterministic for a given
+        seed.
         """
         search = self._require_tuned()
         assert self.fit_result is not None
@@ -164,6 +165,10 @@ class Isaac:
         """The runtime search instance (None before tune/load)."""
         return self._search
 
+    @searcher.setter
+    def searcher(self, search: ExhaustiveSearch) -> None:
+        self._search = search
+
     @classmethod
     def from_fit(
         cls,
@@ -174,8 +179,9 @@ class Isaac:
     ) -> "Isaac":
         """A ready-for-inference tuner over an already-trained fit.
 
-        How a worker process rebuilds its tuners from shipped fit bytes
-        (and how :meth:`load` restores one from disk): no dataset, no
+        How a worker process rebuilds its tuners from shipped fit bytes,
+        how :meth:`load` restores one from disk and how an online
+        hot-swap prepares the search it installs: no dataset, no
         training — just the regressor and a fresh exhaustive search.
         """
         tuner = cls(device, op=op, dtypes=dtypes)

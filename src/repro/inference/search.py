@@ -732,7 +732,8 @@ class _Term:
     order: np.ndarray | None
     starts: np.ndarray
     #: float32 twin of ``h0`` that stage 1 streams over (half the memory
-    #: traffic of the full-precision term), built on first use.
+    #: traffic of the full-precision term), adopted with ``h0`` or built
+    #: on first use.
     lo: np.ndarray | None = None
 
     def to_candidates(self, scores: np.ndarray) -> np.ndarray:
@@ -785,8 +786,7 @@ class ExhaustiveSearch:
         self._space = space
         self._sets: dict[Hashable, _CandidateSet] = {}
         self._terms: dict[Hashable, _Term] = {}
-        self._adopted: dict[Hashable, np.ndarray] = {}
-        self._adopted_lo: dict[Hashable, np.ndarray] = {}
+        self._adopted: dict[Hashable, tuple] = {}
         if not _FoldedMLP.supports(fit, len(self._spec.feature_names)):
             raise ValueError(
                 f"fit cannot be folded for op {self._spec.name!r}: the "
@@ -815,26 +815,12 @@ class ExhaustiveSearch:
             return
         self._folded = _FoldedMLP(self._fit, self._spec.n_config_features)
         self._adopted.clear()  # prescaled against the stale fold
-        self._adopted_lo.clear()
         self._cascade = None  # collapsed from the stale layers
         self._cascade_calib = None
         self._terms.clear()
         for cs in self._sets.values():
             cs.term = None
             cs.split = None
-
-    def refold(self) -> bool:
-        """Re-fold *now* after an in-place model swap; True if it refolded.
-
-        Every search entry point re-checks the fold lazily, but a hot
-        swap wants the invalidation to complete inside the swapper's
-        critical section — the caller holds the same lock searches take,
-        so once this returns no reader can ever pair the new weights
-        with a stale prescaled term.
-        """
-        stale = not self._folded.is_current()
-        self._refresh_fold()
-        return stale
 
     def _candidate_set(self, shape) -> _CandidateSet:
         self._refresh_fold()
@@ -860,11 +846,17 @@ class ExhaustiveSearch:
         return cs
 
     def _attach_term(self, cs: _CandidateSet) -> None:
-        """Give a set its base's term (prescaled once) and its own ``T``."""
+        """Give a set its base's term (adopted if it fits, else prescaled
+        once) and its own ``T``."""
         tkey, order, starts, split = cs.groups
         term = self._terms.get(tkey)
         if term is None:
-            term = _Term(self._prescale_term(cs), order, starts)
+            h0, lo = self._adopted.get(tkey, (None, None))
+            if h0 is None or h0.shape != (
+                len(cs.configs), self._folded.widths[0]
+            ):
+                h0, lo = self._prescale_term(cs), None
+            term = _Term(h0, order, starts, lo)
             self._terms[tkey] = term
         cs.term = term
         if split:
@@ -874,17 +866,12 @@ class ExhaustiveSearch:
             cs.split = self._folded.split_term(first, list(split))
 
     def _prescale_term(self, cs: _CandidateSet) -> np.ndarray:
-        """``A`` for a set's base: adopted if it fits, else prescaled.
+        """``A`` for a set's base.
 
         Every set of a base holds the base's shared columns, so any one
         of them yields the same ``A``.
         """
-        tkey, order, _, split = cs.groups
-        adopted = self._adopted.get(tkey)
-        if adopted is not None and adopted.shape == (
-            len(cs.configs), self._folded.widths[0]
-        ):
-            return adopted
+        _, order, _, split = cs.groups
         if not split:
             return self._folded.prescale(cs.cfg_matrix)
         shared = [j for j in range(cs.cfg_matrix.shape[1]) if j not in split]
@@ -898,28 +885,31 @@ class ExhaustiveSearch:
         h = self._folded._shape_term(self._spec.shape_vector(shape, log=True))
         return h[None] if cs.split is None else h + cs.split
 
-    def prescaled_snapshot(self) -> dict[Hashable, np.ndarray]:
-        """Every computed ``A`` term, by term key.
+    def terms(self) -> dict[Hashable, tuple]:
+        """Every computed first-layer term as ``(A, float32 twin)``, by
+        term key; the twin is None until stage 1 first used it.
 
         The worker tier ships these through shared memory so a fresh
-        worker skips the prescale matmul; only terms this search has
-        actually touched (and whose fold is current) appear.  A CONV
-        term goes once, under its base's key, whatever buckets used it.
+        worker skips the prescale matmul and the cast; only terms this
+        search has actually touched (and whose fold is current) appear.
+        A CONV term goes once, under its base's key, whatever buckets
+        used it.
         """
         self._refresh_fold()
-        return {key: term.h0 for key, term in self._terms.items()}
+        return {key: (term.h0, term.lo) for key, term in self._terms.items()}
 
-    def adopt_prescaled(self, key: Hashable, h0: np.ndarray) -> None:
-        """Accept an externally computed ``A`` for a term key.
+    def adopt_terms(self, terms: Mapping[Hashable, tuple]) -> None:
+        """Accept externally computed ``(A, twin or None)`` terms by key.
 
-        The array (typically a read-only shared-memory view) is used
-        verbatim iff its shape matches the term built for ``key`` — it
-        was prescaled from the same fit bytes and candidate columns, so
-        the values are bit-identical to a local prescale.  A mismatch
-        (space edit between export and attach) silently falls back to
-        prescaling locally.
+        The arrays (typically read-only shared-memory views) are used
+        verbatim iff ``A``'s shape matches the term built for the key —
+        they were computed from the same fit bytes and candidate
+        columns, so the values are bit-identical to a local prescale and
+        cast.  A mismatch (space edit between export and attach)
+        silently falls back to prescaling locally; a missing twin is
+        cast on first use.
         """
-        self._adopted[key] = h0
+        self._adopted.update(terms)
 
     # ------------------------------------------------------------------
     # Two-stage cascade
@@ -943,8 +933,7 @@ class ExhaustiveSearch:
         calib = self._fit.cascade
         cas = self._cascade
         # The calibration identity check catches the fit's ``cascade``
-        # being replaced (or dropped) with no weight mutation — e.g. an
-        # engine disarming a tuner mid-swap before the refold lands.
+        # being replaced (or dropped) with no weight mutation.
         if (cas is not None and calib is self._cascade_calib
                 and cas.is_current()):
             return cas
@@ -967,40 +956,8 @@ class ExhaustiveSearch:
         """The float32 twin of a set's term, adopted or cast once."""
         term = cs.term
         if term.lo is None:
-            adopted = self._adopted_lo.get(cs.groups[0])
-            if (
-                adopted is not None
-                and adopted.shape == term.h0.shape
-                and adopted.dtype == np.float32
-            ):
-                term.lo = adopted
-            else:
-                term.lo = term.h0.astype(np.float32)
+            term.lo = term.h0.astype(np.float32)
         return term.lo
-
-    def cascade_snapshot(self) -> dict[Hashable, np.ndarray]:
-        """Every computed float32 twin of an ``A`` term, by term key.
-
-        The worker tier ships these through shared memory alongside the
-        full-precision terms so a fresh worker runs the cascade with zero
-        per-worker copies.
-        """
-        self._refresh_fold()
-        return {
-            key: term.lo
-            for key, term in self._terms.items()
-            if term.lo is not None
-        }
-
-    def adopt_cascade(self, key: Hashable, h0_lo: np.ndarray) -> None:
-        """Accept an externally computed float32 twin for a term key.
-
-        Same contract as :meth:`adopt_prescaled`: the view is used
-        verbatim iff it matches the term built for ``key`` (it was cast
-        from bit-identical ``A`` values, so the twin is bit-identical
-        too); any mismatch falls back to casting locally.
-        """
-        self._adopted_lo[key] = h0_lo
 
     def calibrate_cascade(
         self,

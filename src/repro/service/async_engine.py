@@ -802,7 +802,11 @@ class AsyncEngine:
 
         One batch at a time per shard: while a flush runs on its worker
         thread, the event loop keeps admitting requests into the queue,
-        so the next batch is already forming.
+        so the next batch is already forming.  With ``window_ms=0`` the
+        window's deadline has passed before the first wait, so a batch
+        is whatever is already queued, taken without arming a timer: an
+        idle shard parks on the blocking ``get()`` -- no timer churn and
+        no busy spin -- and the flush reason is ``"immediate"``.
         """
         loop = self._loop
         immediate = self._window_s <= 0.0
@@ -812,37 +816,22 @@ class AsyncEngine:
                 return
             batch = [item]
             draining = False
-            if immediate:
-                # Explicit zero-window mode: flush whatever is already
-                # queued, without arming a timer.  The only await is the
-                # blocking get() above, so an idle shard parks on the
-                # queue -- no timer churn and no busy spin.
-                while len(batch) < self._max_batch:
-                    try:
+            deadline = loop.time() + self._window_s
+            while len(batch) < self._max_batch:
+                remaining = deadline - loop.time()
+                try:
+                    if remaining <= 0:
                         nxt = shard.queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
-                    if nxt is _CLOSE:
-                        draining = True
-                        break
-                    batch.append(nxt)
-            else:
-                deadline = loop.time() + self._window_s
-                while len(batch) < self._max_batch:
-                    remaining = deadline - loop.time()
-                    try:
-                        if remaining <= 0:
-                            nxt = shard.queue.get_nowait()
-                        else:
-                            nxt = await asyncio.wait_for(
-                                shard.queue.get(), remaining
-                            )
-                    except (asyncio.QueueEmpty, asyncio.TimeoutError):
-                        break
-                    if nxt is _CLOSE:
-                        draining = True
-                        break
-                    batch.append(nxt)
+                    else:
+                        nxt = await asyncio.wait_for(
+                            shard.queue.get(), remaining
+                        )
+                except (asyncio.QueueEmpty, asyncio.TimeoutError):
+                    break
+                if nxt is _CLOSE:
+                    draining = True
+                    break
+                batch.append(nxt)
             if draining:
                 # Nothing can sit behind the sentinel: aclose() enqueues
                 # it only after admissions stop, so consuming it means

@@ -22,11 +22,11 @@ whole pipeline:
   way a deployment warms its cache for a whole network
   (:meth:`Engine.warmup`);
 * **candidate store** — enumerated candidate sets (the vectorized
-  product-space survivors, plus per-bucket CONV generations) persist as
-  ``.npz`` records next to the profile cache; :meth:`Engine.open` seeds
-  the in-process caches from it, so a warmed deployment cold-starts
-  without enumerating any product space (saved on :meth:`warmup` /
-  :meth:`close`);
+  product-space survivors; CONV buckets derive from the GEMM ones)
+  persist as ``.npz`` records next to the profile cache;
+  :meth:`Engine.open` seeds the in-process caches from it, so a warmed
+  deployment cold-starts without enumerating any product space (saved
+  on :meth:`warmup` / :meth:`close`);
 * **concurrency** — :meth:`query` / :meth:`query_many` are thread-safe:
   per-tuner locks serialize the (stateful) exhaustive search, duplicate
   in-flight shapes are deduplicated so N concurrent queries for one shape
@@ -43,7 +43,7 @@ import re
 import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -707,24 +707,22 @@ class Engine:
 
         Fits are serialized once per (device, op) — this loads any still
         lazy tuner, which is intended: worker boot is serve start.  The
-        cached enumerations and every first-layer term the hot searches
-        have prescaled export as named arrays destined for one
-        shared-memory segment (see :class:`~repro.core.soa.SharedArrayPack`);
-        the metadata references arrays by name only, so it stays
-        pipe-sized.  CONV buckets do not ship: a worker derives them from
-        the GEMM enumeration, and the CONV term ships once per (device,
-        dtype), under its base key, whatever buckets the parent touched.
+        cached enumerations and every first-layer term the searches have
+        prescaled, with its float32 twin when stage 1 has cast one,
+        export as named arrays destined for one shared-memory segment
+        (see :class:`~repro.core.soa.SharedArrayPack`); the metadata
+        references arrays by name only, so it stays pipe-sized.  Each
+        pair's fit bytes and terms are read together under its tuner
+        lock, so a concurrent search or hot-swap can never ship one
+        fit's bytes with another fit's terms.  CONV buckets do not ship:
+        a worker derives them from the GEMM enumeration, and the CONV
+        term ships once per (device, dtype), under its base key,
+        whatever buckets the parent touched.
         """
         from repro.core.candidate_store import collect_cache_records
         from repro.mlp.serialize import fit_to_bytes
 
         fits: dict[tuple[str, str], tuple[bytes, tuple[str, ...]]] = {}
-        for device_name, op_name in sorted(self._known_pairs()):
-            tuner = self._tuner(device_name, op_name)
-            fits[(device_name, op_name)] = (
-                fit_to_bytes(tuner.fit_result),
-                tuple(d.name for d in tuner.dtypes),
-            )
         arrays: dict[str, np.ndarray] = {}
         records: list[dict] = []
         for i, (key, op, space, params) in enumerate(
@@ -738,34 +736,26 @@ class Engine:
             records.append({
                 "key": key, "op": op, "space": space, "columns": columns,
             })
-        prescaled: list[dict] = []
-        cascade: list[dict] = []
-        with self._registry_lock:
-            hot = dict(self._tuners)
-        n = m = 0
-        for (device_name, op_name), tuner in sorted(hot.items()):
-            search = tuner.searcher
-            if search is None:
-                continue
-            for key, h0 in search.prescaled_snapshot().items():
-                aname = f"h0.{n}"
-                n += 1
-                arrays[aname] = np.ascontiguousarray(h0)
-                prescaled.append({
-                    "device": device_name, "op": op_name, "key": key,
-                    "name": aname,
-                })
-            for key, h0_lo in search.cascade_snapshot().items():
-                aname = f"cas.{m}"
-                m += 1
-                arrays[aname] = np.ascontiguousarray(h0_lo)
-                cascade.append({
-                    "device": device_name, "op": op_name, "key": key,
-                    "name": aname,
+        terms: list[dict] = []
+        for pair in sorted(self._known_pairs()):
+            tuner = self._tuner(*pair)
+            with self._tuner_locks[pair]:
+                fits[pair] = (
+                    fit_to_bytes(tuner.fit_result),
+                    tuple(d.name for d in tuner.dtypes),
+                )
+                snapshot = tuner.searcher.terms()
+            for key, (h0, lo) in snapshot.items():
+                i = len(terms)
+                arrays[f"h0.{i}"] = np.ascontiguousarray(h0)
+                if lo is not None:
+                    arrays[f"lo.{i}"] = np.ascontiguousarray(lo)
+                terms.append({
+                    "device": pair[0], "op": pair[1], "key": key,
+                    "h0": f"h0.{i}", "lo": None if lo is None else f"lo.{i}",
                 })
         return WorkerState(
-            fits=fits, records=records, prescaled=prescaled,
-            arrays=arrays, cascade=cascade,
+            fits=fits, records=records, terms=terms, arrays=arrays,
             cascade_enabled=self._cascade_enabled,
             cascade_keep=self._cascade_keep,
         )
@@ -1072,60 +1062,33 @@ class Engine:
     def _apply_update(self, update: ModelUpdate) -> None:
         """Atomic hot-swap of one (device, op) fit.
 
-        Holds the pair's tuner lock — the lock every search takes — so a
-        reader either completes against the old (fit, H0) pair or starts
-        against the new one; the eager ``refold()`` inside the critical
-        section means no reader can ever mix the two.
-
-        The swap drops the cascade calibration (its margins hashed the
-        old weights) and, when the cascade is enabled, attaches one for
-        the new weights inside the same critical section — so no search
-        ever observes new weights with stale pruning margins, and the
-        first post-swap query already serves from the shortlist path.
-        That calibration is measured before the lock is taken, on a
-        tuner of the update's own fit, while searches go on against the
-        live one; the swap adopts its margins and its prescaled ``H0``
-        terms when its digest matches the swapped-in weights, and
-        recalibrates in place otherwise.  Searches therefore never wait
-        on a recalibration, only on the weight copy and refold.
+        The update's fit gets a search of its own, built before the
+        pair's tuner lock is taken while searches go on against the live
+        one.  When the live fit was calibrated and the engine runs the
+        cascade, the new weights' margins are measured there too, so the
+        first post-swap query already serves from the shortlist path, on
+        the ``A`` terms they were measured on.  Under the lock — the lock
+        every search takes — the live tuner only takes the new fit and
+        search, keeping its cascade counters: a reader either completes
+        against the old (fit, ``A``) pair or starts against the new one,
+        searches never wait on a recalibration, and the fit that served
+        before the swap is never written.
         """
-        from repro.mlp.serialize import fit_weights_digest
-
         key = (update.device, update.op)
         with self._registry_lock:
             tuner = self._tuners.get(key)
             lock = self._tuner_locks.get(key)
         if tuner is None or lock is None:
             return
-        fresh = None
-        if (self._cascade_enabled and tuner.searcher is not None
-                and tuner.fit_result.cascade is not None):
-            fresh = Isaac.from_fit(tuner.device, tuner.spec, update.fit,
-                                   dtypes=tuner.dtypes)
+        fresh = Isaac.from_fit(tuner.device, tuner.spec, update.fit,
+                               dtypes=tuner.dtypes)
+        _set_cascade(fresh, self._cascade_enabled, self._cascade_keep)
+        if self._cascade_enabled and tuner.fit_result.cascade is not None:
             fresh.calibrate_cascade()
+        search = fresh.searcher
         with lock:
-            live = tuner.fit_result
-            had_calibration = live.cascade is not None
-            live.model.set_weights(update.fit.model.get_weights())
-            live.history = update.fit.history
-            live.val_mse = update.fit.val_mse
-            live.lineage = update.fit.lineage
-            live.cascade = None
-            searcher = tuner.searcher
-            if searcher is not None:
-                searcher.refold()
-                if self._cascade_enabled and had_calibration:
-                    calib = None if fresh is None else fresh.fit_result.cascade
-                    if (calib is not None and calib.weights_digest
-                            == fit_weights_digest(live)):
-                        live.cascade = calib
-                        prepared = fresh.searcher
-                        for k, h0 in prepared.prescaled_snapshot().items():
-                            searcher.adopt_prescaled(k, h0)
-                        for k, lo in prepared.cascade_snapshot().items():
-                            searcher.adopt_cascade(k, lo)
-                    else:
-                        tuner.calibrate_cascade()
+            search.cascade_stats = tuner.searcher.cascade_stats
+            tuner.fit_result, tuner.searcher = update.fit, search
         self._n_swaps += 1
 
     def start_online(self) -> bool:
@@ -1317,20 +1280,23 @@ class Engine:
 class WorkerState:
     """One engine's serving state, split for cross-process shipping.
 
-    ``fits`` (small: tens of KB of npz bytes per pair) travel over the
-    boot pipe; ``arrays`` (large: survivor columns, prescaled ``H0``
-    terms and their float32 cascade twins, ~160k rows each) are destined
-    for one :class:`~repro.core.soa.SharedArrayPack` segment.
-    ``records``, ``prescaled`` and ``cascade`` reference arrays by
-    manifest name, never by value; ``cascade_enabled``/``cascade_keep``
-    carry the parent engine's cascade policy to every worker.
+    ``arrays`` (large: survivor columns, and each first-layer term ``A``
+    with its float32 twin, ~160k rows each) are destined for one
+    :class:`~repro.core.soa.SharedArrayPack` segment; the rest is small
+    (tens of KB of npz bytes per fit) and is what a worker boots from:
+    :class:`~repro.service.worker_pool.WorkerPool` ships the state
+    itself, its arrays left in the segment, over the boot pipe.
+    ``records`` and ``terms`` reference arrays by manifest name, never
+    by value: a term is ``{"device", "op", "key", "h0", "lo"}``, with
+    ``lo`` None when stage 1 had not cast its twin yet.
+    ``cascade_enabled``/``cascade_keep`` carry the parent engine's
+    cascade policy to every worker.
     """
 
     fits: dict[tuple[str, str], tuple[bytes, tuple[str, ...]]]
     records: list[dict]
-    prescaled: list[dict]
+    terms: list[dict]
     arrays: dict[str, np.ndarray]
-    cascade: list[dict] = field(default_factory=list)
     cascade_enabled: bool = True
     cascade_keep: int | None = None
 
@@ -1339,11 +1305,12 @@ class WorkerEngine:
     """The worker-process side of the sharded serving tier.
 
     A slim, single-process searcher rebuilt from a :class:`WorkerState`
-    export: it seeds the enumeration cache with zero-copy shared-memory
-    views, restores each (device, op) tuner from its fit bytes, adopts
-    the parent's prescaled first-layer terms by term key (CONV's by its
-    base key, for every bucket it derives from the GEMM enumeration),
-    and answers batched searches.
+    export and ``views`` of its arrays (zero-copy shared-memory views in
+    a worker process): it seeds the enumeration cache, restores each
+    (device, op) tuner from its fit bytes, adopts the parent's
+    first-layer terms with their float32 twins by term key (CONV's by
+    its base key, for every bucket it derives from the GEMM
+    enumeration), and answers batched searches.
     It keeps **no caches of its own** — the parent's LRU/profile levels
     stay authoritative and only misses are shipped here, so worker
     results are config-identical to the in-process path (same fit bytes,
@@ -1352,26 +1319,20 @@ class WorkerEngine:
 
     def __init__(
         self,
-        fits: Mapping[tuple[str, str], tuple[bytes, tuple[str, ...]]],
-        records: Sequence[Mapping],
-        prescaled: Sequence[Mapping],
+        state: WorkerState,
         views: Mapping[str, np.ndarray],
         shared_bytes: int = 0,
-        cascade: Sequence[Mapping] = (),
-        cascade_enabled: bool = True,
-        cascade_keep: int | None = None,
     ):
         from repro.core.candidate_store import seed_cache_record
 
         self.shared_bytes = int(shared_bytes)
         self.seeded_records = 0
-        self.adopted_h0 = 0
-        self.adopted_cascade = 0
+        self.adopted_terms = 0
         self.adopted_fits = 0
         self.searches = 0
-        self._cascade_enabled = bool(cascade_enabled)
-        self._cascade_keep = cascade_keep
-        for rec in records:
+        self._cascade_enabled = bool(state.cascade_enabled)
+        self._cascade_keep = state.cascade_keep
+        for rec in state.records:
             params = {
                 p: views[name] for p, name in rec["columns"].items()
             }
@@ -1383,24 +1344,17 @@ class WorkerEngine:
         #: the tuner lock :func:`_rank_misses` takes (uncontended: the
         #: worker serves one RPC at a time).
         self._lock = threading.Lock()
-        for pair, fit in fits.items():
+        for pair, fit in state.fits.items():
             self._build_tuner(pair, fit)
-        for item in prescaled:
+        for item in state.terms:
             tuner = self._tuners.get((item["device"], item["op"]))
-            if tuner is None or tuner.searcher is None:
+            if tuner is None:
                 continue
-            tuner.searcher.adopt_prescaled(
-                tuple(item["key"]), views[item["name"]]
-            )
-            self.adopted_h0 += 1
-        for item in cascade:
-            tuner = self._tuners.get((item["device"], item["op"]))
-            if tuner is None or tuner.searcher is None:
-                continue
-            tuner.searcher.adopt_cascade(
-                tuple(item["key"]), views[item["name"]]
-            )
-            self.adopted_cascade += 1
+            lo = item["lo"]
+            tuner.searcher.adopt_terms({tuple(item["key"]): (
+                views[item["h0"]], None if lo is None else views[lo],
+            )})
+            self.adopted_terms += 1
 
     def _build_tuner(
         self, pair: tuple[str, str], fit: tuple[bytes, tuple[str, ...]]
@@ -1436,12 +1390,13 @@ class WorkerEngine:
         """Hot-swap updated fits shipped by the parent's online loop.
 
         Each pair's tuner is rebuilt from the new fit bytes with a fresh
-        search (its prescaled ``H0`` terms were folded through the old
-        weights, so re-adopting them would tear the (fit, H0) pair — the
-        worker re-prescales lazily from the shared candidate columns
-        instead).  The worker is single-threaded between RPCs, so the
-        whole swap is atomic from the parent's point of view.  Returns
-        the adopted version per pair.
+        search, as the parent's swap builds one (its adopted terms were
+        folded through the old weights, so re-adopting them would tear
+        the (fit, ``A``) pair — the worker re-prescales lazily from the
+        shared candidate columns instead).  The worker is
+        single-threaded between RPCs, so the whole swap is atomic from
+        the parent's point of view.  Returns the adopted version per
+        pair.
         """
         adopted: dict[tuple[str, str], int] = {}
         for pair, fit in fits.items():
@@ -1459,18 +1414,14 @@ class WorkerEngine:
         """
         cascade_searches = exhaustive = fallbacks = 0
         for tuner in self._tuners.values():
-            search = tuner.searcher
-            if search is None:
-                continue
-            cs = search.cascade_stats
+            cs = tuner.searcher.cascade_stats
             cascade_searches += cs.cascade_queries
             exhaustive += cs.exhaustive_queries
             fallbacks += cs.fallbacks
         return {
             "shared_bytes": self.shared_bytes,
             "seeded_records": self.seeded_records,
-            "adopted_h0": self.adopted_h0,
-            "adopted_cascade": self.adopted_cascade,
+            "adopted_terms": self.adopted_terms,
             "adopted_fits": self.adopted_fits,
             "searches": self.searches,
             "cascade_searches": cascade_searches,

@@ -9,11 +9,14 @@ parent engine's exported state — and a consistent-hash ring that maps
 request cache keys onto workers.
 
 The expensive read-only state is **shared, not copied**: survivor
-candidate columns and prescaled ``H0`` feature terms live in exactly one
-:class:`~repro.core.soa.SharedArrayPack` segment created by the pool;
-workers attach and rebuild numpy views over the same physical pages
-(zero re-enumeration, zero per-worker copy).  Only the small artifacts —
-fit bytes, record metadata, the manifest — travel over the boot pipe.
+candidate columns and the first-layer terms (each ``A`` with its float32
+twin) live in exactly one :class:`~repro.core.soa.SharedArrayPack`
+segment created by the pool; workers attach and rebuild numpy views over
+the same physical pages (zero re-enumeration, zero per-worker copy).
+Only the small artifacts — the exported
+:class:`~repro.service.engine.WorkerState` without its arrays (fit
+bytes, record and term metadata) and the segment's manifest — travel
+over the boot pipe.
 
 Lifecycle per worker: spawn (``spawn`` context; the child caps its BLAS
 threads first, through the runtime setter of
@@ -50,6 +53,7 @@ import hashlib
 import queue
 import threading
 from concurrent.futures import Future
+from dataclasses import replace
 from typing import Sequence
 
 __all__ = ["WorkerCrashed", "WorkerPool"]
@@ -114,17 +118,9 @@ def _worker_main(conn, blas_threads: int) -> None:
         from repro.core.soa import SharedArrayPack
         from repro.service.engine import WorkerEngine
 
-        pack = SharedArrayPack.attach(boot["shm"], boot["manifest"])
-        engine = WorkerEngine(
-            boot["fits"],
-            boot["records"],
-            boot["prescaled"],
-            pack.views(),
-            shared_bytes=pack.nbytes,
-            cascade=boot.get("cascade", ()),
-            cascade_enabled=boot.get("cascade_enabled", True),
-            cascade_keep=boot.get("cascade_keep"),
-        )
+        state, shm, manifest = boot
+        pack = SharedArrayPack.attach(shm, manifest)
+        engine = WorkerEngine(state, pack.views(), shared_bytes=pack.nbytes)
         conn.send(("ready", engine.stats()))
     except BaseException:
         import traceback
@@ -244,7 +240,10 @@ class _Worker:
         process.start()
         child_conn.close()
         try:
-            parent_conn.send(("boot", self._pool._boot))
+            pool = self._pool
+            parent_conn.send(
+                ("boot", (pool._boot, pool._pack.name, pool._pack.manifest))
+            )
             if not self._wait_readable(parent_conn, process,
                                        _BOOT_TIMEOUT_S):
                 raise WorkerCrashed(
@@ -452,16 +451,9 @@ class WorkerPool:
         state = engine.export_worker_state()
         self.pairs = frozenset(state.fits)
         self._pack = SharedArrayPack.create(state.arrays)
-        self._boot = {
-            "fits": state.fits,
-            "records": state.records,
-            "prescaled": state.prescaled,
-            "cascade": state.cascade,
-            "cascade_enabled": state.cascade_enabled,
-            "cascade_keep": state.cascade_keep,
-            "shm": self._pack.name,
-            "manifest": self._pack.manifest,
-        }
+        #: what every (re)spawned worker boots from; its arrays live in
+        #: the segment.
+        self._boot = replace(state, arrays={})
         self._workers: list[_Worker] = []
         try:
             for i in range(n_workers):
@@ -576,34 +568,26 @@ class WorkerPool:
     ) -> int:
         """Propagate hot-swapped fits to every live worker; count adopters.
 
-        The parent stays authoritative: the boot payload is updated
-        *first*, so a worker that crashes mid-broadcast respawns straight
-        onto the new fits (and never re-adopts prescaled ``H0`` terms
-        folded through the old weights — those entries are dropped from
-        the boot manifest for the updated pairs).  Then each live worker
-        gets an ``adopt`` RPC; a worker that dies here is already marked
-        dead by its manager and simply misses the update — its respawn
-        path has the new state.
-
-        The cascade's float32 twins are dropped for the updated pairs for
-        the same reason as the prescaled terms: they were cast from the
-        old weights' ``H0``.  Respawned workers recast lazily; margins
-        travel inside the new fit bytes themselves.
+        The parent stays authoritative: the boot payload is replaced
+        *first*, in one assignment, so a worker that crashes
+        mid-broadcast respawns straight onto the new fits and never
+        re-adopts a term (``A`` or its twin) folded through the old
+        weights — the payload drops every term of the updated pairs.
+        Then each live worker gets an ``adopt`` RPC; a worker that dies
+        here is already marked dead by its manager and simply misses the
+        update — its respawn path has the new state.  Margins travel
+        inside the new fit bytes themselves.
         """
         if self._closed:
             raise WorkerCrashed("pool closed")
         if not fits:
             return 0
-        updated = set(fits)
-        self._boot["fits"] = {**self._boot["fits"], **fits}
-        self._boot["prescaled"] = [
-            p for p in self._boot["prescaled"]
-            if (p["device"], p["op"]) not in updated
-        ]
-        self._boot["cascade"] = [
-            c for c in self._boot["cascade"]
-            if (c["device"], c["op"]) not in updated
-        ]
+        boot = self._boot
+        self._boot = replace(
+            boot, fits={**boot.fits, **fits},
+            terms=[t for t in boot.terms
+                   if (t["device"], t["op"]) not in fits],
+        )
         futures = []
         for w in self._workers:
             if w.dead:

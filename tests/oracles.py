@@ -16,7 +16,9 @@ production path calls them.
   (vs :meth:`repro.inference.search.ExhaustiveSearch.predictions`);
 * :func:`generate_dataset_loop` draws one shape, one config and one
   benchmark per trip, in the RNG order of the pre-batching datasets
-  (vs :func:`repro.sampling.dataset.generate_dataset`).
+  (vs :func:`repro.sampling.dataset.generate_dataset`);
+* :data:`SCALAR_BENCHMARK` maps each registered op to its one-launch
+  simulator benchmark (vs ``OpSpec.benchmark_pairs``).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.core.batched import benchmark_batched_gemm
 from repro.core.config import ConvConfig, GemmConfig
 from repro.core.legality import is_legal_conv
 from repro.core.ops import OpSpec, get_op
@@ -32,6 +35,7 @@ from repro.core.space import CONV_SPACE, ParamSpace
 from repro.core.types import ConvShape, DType
 from repro.gpu.device import DeviceSpec
 from repro.gpu.noise import DEFAULT_SIGMA
+from repro.gpu.simulator import benchmark_conv, benchmark_gemm
 from repro.inference.conv_search import factorize_tile
 from repro.inference.search import ExhaustiveSearch, legal_configs
 from repro.sampling.dataset import (
@@ -40,6 +44,14 @@ from repro.sampling.dataset import (
     fit_generative_models,
 )
 from repro.sampling.generative import CategoricalModel
+
+#: Each registered op's scalar benchmark: one simulated launch of one
+#: (config, shape) pair, ``fn(device, cfg, shape, *, reps, sigma)``.
+SCALAR_BENCHMARK: dict[str, Callable[..., float]] = {
+    "gemm": benchmark_gemm,
+    "conv": benchmark_conv,
+    "bgemm": benchmark_batched_gemm,
+}
 
 
 def legal_configs_reference(
@@ -144,7 +156,9 @@ def generate_dataset_loop(
         shape = shape_sampler(rng)
         point = samplers[shape.dtype].sample_legal(accepts[shape.dtype], rng)
         cfg = spec.config_from_point(point)
-        tflops = spec.benchmark(device, cfg, shape, reps=reps, sigma=sigma)
+        tflops = SCALAR_BENCHMARK[spec.name](
+            device, cfg, shape, reps=reps, sigma=sigma
+        )
         xs[i] = spec.encode(cfg, shape, log=False)
         ys[i] = np.log2(max(tflops, 1e-6))
     return Dataset(xs, ys, spec.feature_names)

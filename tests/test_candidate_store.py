@@ -309,22 +309,16 @@ def test_worker_adopts_the_conv_term_by_base_key(small_conv_tuner):
     engine.close()
     assert [rec["op"] for rec in state.records] == ["gemm"]
     base_key = ("conv", TESLA_P100.name, "FP32")
-    (h0,) = [
-        state.arrays[item["name"]] for item in state.prescaled
-        if item["op"] == "conv" and tuple(item["key"]) == base_key
-    ]
-    (h0_lo,) = [
-        state.arrays[item["name"]] for item in state.cascade
+    ((h0, h0_lo),) = [
+        (state.arrays[item["h0"]], state.arrays[item["lo"]])
+        for item in state.terms
         if item["op"] == "conv" and tuple(item["key"]) == base_key
     ]
     # Two buckets searched, one term shipped.
-    assert [i["op"] for i in state.prescaled] == ["conv"]
+    assert [i["op"] for i in state.terms] == ["conv"]
 
     conv_search.clear_bucket_cache()  # the worker derives its own bucket
-    worker = WorkerEngine(
-        state.fits, state.records, state.prescaled, state.arrays,
-        cascade=state.cascade,
-    )
+    worker = WorkerEngine(state, state.arrays)
     ((ok, payload),) = worker.search_batch(
         TESLA_P100.name, "conv", [shape], 8, 2
     )

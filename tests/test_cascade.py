@@ -14,11 +14,10 @@ only the shortlist in float64.  These tests pin the three legs:
   check, or a too-small candidate set each force the exhaustive path
   (correct answers, counted fallbacks), never a silently wrong
   shortlist;
-* **hot-swap regression** — an online fine-tune (PR 7) drops the old
-  margins inside the swap's critical section and attaches margins
-  measured for the new weights (before the lock is taken), so
-  mid-traffic swaps can never serve stale-margin results; the worker
-  tier re-arms from the broadcast fit bytes alone.
+* **hot-swap regression** — an online fine-tune installs a search over
+  the new fit whose margins were measured for the new weights before
+  the lock is taken, so mid-traffic swaps can never serve stale-margin
+  results; the worker tier re-arms from the broadcast fit bytes alone.
 """
 
 import hashlib
@@ -212,9 +211,9 @@ def test_corrupted_margin_trips_runtime_fallback(mutable_tuner):
 
 
 def test_stale_weights_digest_disarms_until_recalibration(mutable_tuner):
-    """In-place weight mutation (what a hot-swap does) must disarm the
-    cascade — the old margins hashed different weights — and a fresh
-    calibration must re-arm it, still bit-identical."""
+    """In-place weight mutation (pruning, say) must disarm the cascade —
+    the old margins hashed different weights — and a fresh calibration
+    must re-arm it, still bit-identical."""
     shape = GemmShape(448, 64, 448, DType.FP32, False, True)
     search = mutable_tuner.searcher
     stats = search.cascade_stats
@@ -222,7 +221,6 @@ def test_stale_weights_digest_disarms_until_recalibration(mutable_tuner):
     original = layer.w.copy()
     try:
         layer.w += 1e-4
-        search.refold()
         assert (mutable_tuner.fit_result.cascade.weights_digest
                 != fit_weights_digest(mutable_tuner.fit_result))
         before_cas = stats.cascade_queries
@@ -238,7 +236,6 @@ def test_stale_weights_digest_disarms_until_recalibration(mutable_tuner):
         assert _tops_equal(cas, got)
     finally:
         layer.w[:] = original
-        search.refold()
         mutable_tuner.calibrate_cascade()
 
 
@@ -436,7 +433,7 @@ def test_hot_swap_mid_traffic_never_serves_stale_margins():
         if updates:
             swaps += len(updates)
             fit = tuner.fit_result
-            # The swap recalibrated inside its critical section …
+            # The swapped-in fit carries margins for its own weights …
             assert fit.cascade is not None
             assert fit.cascade.weights_digest == fit_weights_digest(fit)
     assert swaps >= 1
@@ -514,6 +511,41 @@ def test_hot_swap_calibrates_outside_the_tuner_lock(monkeypatch):
     engine.close()
 
 
+def test_hot_swap_installs_a_search_and_leaves_the_served_fit():
+    """A swap installs the update's fit with a search of its own: the fit
+    that served before keeps its weights and margins, and the engine's
+    cascade counters keep counting across the swap."""
+    engine = Engine(
+        online=OnlineConfig(update_every=8, epochs=2, anchor_size=64,
+                            batch_size=32),
+        max_workers=0,
+    )
+    engine.register(_tiny_tuner())
+    tuner = engine._tuner(DEVICE, "gemm")
+    served, search = tuner.fit_result, tuner.searcher
+    weights = served.model.get_weights()
+    calib = served.cascade
+    updates = []
+    for m in (256, 288, 320, 352, 384):
+        engine.query(KernelRequest("gemm", _shape(m), k=10, reps=2))
+        updates = engine.run_online_updates()
+        if updates:
+            break
+    assert updates
+    assert all(
+        np.array_equal(a, b)
+        for a, b in zip(served.model.get_weights(), weights)
+    )
+    assert served.cascade is calib
+    assert tuner.fit_result is updates[-1].fit
+    assert tuner.searcher is not search
+    before = engine.stats().cascade_searches
+    assert before >= 1
+    engine.query(KernelRequest("gemm", _shape(500), k=10, reps=2))
+    assert engine.stats().cascade_searches == before + 1
+    engine.close()
+
+
 def test_engine_cascade_disabled_and_keep_override(mutable_tuner):
     try:
         stats = mutable_tuner.searcher.cascade_stats
@@ -576,15 +608,12 @@ def test_worker_state_ships_and_adopts_cascade(trained_gemm_tuner):
     want = engine.query(KernelRequest("gemm", shape, k=8, reps=2))
     state = engine.export_worker_state()
     assert state.cascade_enabled
-    assert len(state.cascade) >= 1
-    assert all(item["name"].startswith("cas.") for item in state.cascade)
+    twins = [term["lo"] for term in state.terms if term["lo"] is not None]
+    assert len(twins) >= 1
+    assert all(state.arrays[name].dtype == np.float32 for name in twins)
 
-    worker = WorkerEngine(
-        state.fits, state.records, state.prescaled, state.arrays,
-        cascade=state.cascade, cascade_enabled=state.cascade_enabled,
-        cascade_keep=state.cascade_keep,
-    )
-    assert worker.adopted_cascade == len(state.cascade)
+    worker = WorkerEngine(state, state.arrays)
+    assert worker.adopted_terms == len(state.terms)
     ((ok, payload),) = worker.search_batch(DEVICE, "gemm", [shape], 8, 2)
     assert ok
     assert payload[0] == want.config
@@ -600,11 +629,7 @@ def test_worker_inherits_disabled_cascade_policy(trained_gemm_tuner):
     try:
         state = engine.export_worker_state()
         assert not state.cascade_enabled
-        worker = WorkerEngine(
-            state.fits, state.records, state.prescaled, state.arrays,
-            cascade=state.cascade, cascade_enabled=state.cascade_enabled,
-            cascade_keep=state.cascade_keep,
-        )
+        worker = WorkerEngine(state, state.arrays)
         shape = GemmShape(112, 64, 112, DType.FP32, False, True)
         ((ok, _),) = worker.search_batch(DEVICE, "gemm", [shape], 8, 2)
         assert ok
@@ -616,10 +641,41 @@ def test_worker_inherits_disabled_cascade_policy(trained_gemm_tuner):
         engine.close()
 
 
+def test_export_reads_fit_and_terms_under_the_pair_lock(
+    trained_gemm_tuner, monkeypatch
+):
+    """A pool that boots while a search adds a term or a swap lands must
+    ship one fit's bytes with that fit's terms: the export reads both
+    with the pair's tuner lock held."""
+    engine = Engine(max_workers=0)
+    engine.register(trained_gemm_tuner)
+    engine.query(KernelRequest("gemm", _shape(176), k=8, reps=2))
+    lock = engine._tuner_locks[(DEVICE, "gemm")]
+    held = []
+    terms = search_module.ExhaustiveSearch.terms
+    to_bytes = serialize.fit_to_bytes
+
+    def spy_terms(self):
+        held.append(("terms", lock.locked()))
+        return terms(self)
+
+    def spy_bytes(fit):
+        held.append(("fit", lock.locked()))
+        return to_bytes(fit)
+
+    monkeypatch.setattr(search_module.ExhaustiveSearch, "terms", spy_terms)
+    monkeypatch.setattr(serialize, "fit_to_bytes", spy_bytes)
+    state = engine.export_worker_state()
+    engine.close()
+    assert held == [("fit", True), ("terms", True)]
+    assert state.terms
+
+
 def test_broadcast_drops_cascade_twins_for_updated_pairs():
-    """After a hot-swap broadcast, the boot payload keeps no float32
-    twin cast from the old weights for the updated pair — a respawned
-    worker re-arms from the new fit bytes and recasts lazily."""
+    """After a hot-swap broadcast, the boot payload keeps no term of the
+    updated pair — neither ``A`` nor the float32 twin cast from the old
+    weights — so a respawned worker re-arms from the new fit bytes and
+    prescales and recasts lazily."""
     from repro.service.worker_pool import WorkerPool
 
     engine = Engine(
@@ -630,9 +686,9 @@ def test_broadcast_drops_cascade_twins_for_updated_pairs():
     engine.query(KernelRequest("gemm", _shape(96, 96, 96), k=8, reps=2))
     try:
         with WorkerPool(engine, 1) as pool:
-            assert pool._boot["cascade_enabled"]
-            assert len(pool._boot["cascade"]) >= 1
-            assert pool.ping(0)["adopted_cascade"] >= 1
+            assert pool._boot.cascade_enabled
+            assert any(t["lo"] is not None for t in pool._boot.terms)
+            assert pool.ping(0)["adopted_terms"] >= 1
 
             engine.query(
                 KernelRequest("gemm", _shape(224, 96, 224), k=8, reps=2)
@@ -640,8 +696,10 @@ def test_broadcast_drops_cascade_twins_for_updated_pairs():
             assert engine.run_online_updates()
             fits = engine.export_fits([(DEVICE, "gemm")])
             assert pool.broadcast_fits(fits) == 1
-            assert pool._boot["cascade"] == []
-            assert pool._boot["prescaled"] == []
+            assert pool._boot.terms == []
+            assert pool._boot.fits[(DEVICE, "gemm")] == fits[
+                (DEVICE, "gemm")
+            ]
 
             # The worker's rebuilt search armed itself from the shipped
             # calibration and serves the swap's answers via the cascade.

@@ -23,6 +23,7 @@ from repro.core.tuner import Isaac
 from repro.core.types import DType, GemmShape
 from repro.gpu.device import TESLA_P100
 from repro.sampling.dataset import fit_generative_models, generate_dataset
+from tests.oracles import SCALAR_BENCHMARK
 
 N_SAMPLES = 500
 SEED = 123
@@ -110,7 +111,7 @@ def test_simulated_measurements_are_pure():
     again = spec.benchmark_pairs(device, cfgs, shapes, reps=3)
     assert np.array_equal(once, again)
     scalar = np.array([
-        spec.benchmark(device, c, s, reps=3)
+        SCALAR_BENCHMARK[spec.name](device, c, s, reps=3)
         for c, s in zip(cfgs, shapes)
     ])
     assert np.array_equal(once, scalar)

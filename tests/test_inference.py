@@ -900,8 +900,8 @@ def test_conv_buckets_share_one_term(small_conv_tuner):
     assert not np.array_equal(a.split, b.split)
     base_key = ("conv", TESLA_P100.name, "FP32")
     assert a.groups[0] == b.groups[0] == base_key
-    assert list(search.prescaled_snapshot()) == [base_key]
-    assert search.prescaled_snapshot()[base_key] is a.term.h0
+    assert list(search.terms()) == [base_key]
+    assert search.terms()[base_key][0] is a.term.h0
 
 
 def test_grouped_scoring_is_bit_identical_across_widths(

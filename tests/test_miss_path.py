@@ -43,11 +43,7 @@ def _engine(*tuners: Isaac) -> Engine:
 def _worker(engine: Engine) -> WorkerEngine:
     """A worker engine built in this process from the parent's export."""
     state = engine.export_worker_state()
-    return WorkerEngine(
-        state.fits, state.records, state.prescaled, state.arrays,
-        cascade=state.cascade, cascade_enabled=state.cascade_enabled,
-        cascade_keep=state.cascade_keep,
-    )
+    return WorkerEngine(state, state.arrays)
 
 
 def test_every_front_door_ranks_through_the_one_helper(

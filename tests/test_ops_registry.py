@@ -24,7 +24,6 @@ from repro.core.tuner import Isaac
 from repro.core.types import DType, GemmShape
 from repro.gpu.device import TESLA_P100
 from repro.gpu.simulator import (
-    benchmark_gemm,
     benchmark_gemm_many,
     simulate_gemm,
     simulate_gemm_many,
@@ -60,7 +59,6 @@ def _make_toy_spec(name: str = "toygemm") -> OpSpec:
         config_matrix=gemm_config_matrix,
         shape_vector=gemm_shape_vector,
         simulate=simulate_gemm,
-        benchmark=benchmark_gemm,
         make_shape_sampler=lambda dtypes: GemmShapeSampler(
             m_range=(16, 512), n_range=(16, 512), k_range=(16, 4096),
             dtypes=tuple(dtypes),

@@ -34,7 +34,7 @@ from repro.sampling.dataset import (
     fit_generative_models,
     generate_dataset,
 )
-from tests.oracles import generate_dataset_loop
+from tests.oracles import SCALAR_BENCHMARK, generate_dataset_loop
 
 # ----------------------------------------------------------------------
 # Golden measurements captured from the pre-refactor scalar chain
@@ -175,7 +175,7 @@ class TestGoldenParity:
     def test_scalar_matches_golden(self, op, dev, cfg_dict, shape, hexval):
         spec = get_op(op)
         cfg = spec.config_from_point(cfg_dict)
-        got = spec.benchmark(get_device(dev), cfg, shape, reps=3)
+        got = SCALAR_BENCHMARK[op](get_device(dev), cfg, shape, reps=3)
         assert got == float.fromhex(hexval)
 
     def test_batched_matches_golden(self):
@@ -236,7 +236,7 @@ class TestPropertyParity:
                 device, cfgs, shapes, reps=reps, sigma=sigma
             )
             scalar = np.array([
-                spec.benchmark(device, c, s, reps=reps, sigma=sigma)
+                SCALAR_BENCHMARK[op](device, c, s, reps=reps, sigma=sigma)
                 for c, s in pairs
             ])
             np.testing.assert_array_equal(batched, scalar)
@@ -321,7 +321,7 @@ class TestIllegalHandling:
              "kl": 8, "kg": 1, "vec": 1, "db": 2}
         )
         with pytest.raises(IllegalKernelError):
-            spec.benchmark(device, bad_cfg, good_shape)
+            SCALAR_BENCHMARK[spec.name](device, bad_cfg, good_shape)
         out = spec.benchmark_pairs(
             device,
             [good_cfg, bad_cfg, good_cfg],
@@ -429,5 +429,6 @@ class TestDatasetDeterminism:
                 int(m), int(n), int(k), DType(int(dsize)),
                 bool(int(ta) - 1), bool(int(tb) - 1),
             )
-            want = np.log2(max(spec.benchmark(device, cfg, shape), 1e-6))
+            tflops = SCALAR_BENCHMARK[spec.name](device, cfg, shape)
+            want = np.log2(max(tflops, 1e-6))
             assert ds.y[i] == want
