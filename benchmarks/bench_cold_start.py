@@ -8,28 +8,29 @@ supply is now array-native end to end: ``ParamSpace.grid`` materializes
 X̂ as struct-of-arrays columns, ``legal_mask`` filters it in one pass,
 the log-feature matrix is built straight from the surviving columns,
 CONV candidates come from one vectorized base per (device, dtype) from
-which each tile-factorization bucket derives only its six split
-columns, and config *objects* stay lazy (``LazyConfigList``) — only the
+which each tile-factorization bucket derives only its split rows (one
+per tile), and config *objects* stay lazy (``LazyConfigList``) — only the
 top-k rows a search touches are ever constructed.  The timed sections
-therefore measure exactly what a first query pays; the parity asserts
-materialize everything afterwards.
+therefore measure exactly what a first query pays: a CONV bucket is
+timed as the search derives it, a record without its log-feature
+matrix; the parity asserts derive the matrices and materialize
+everything afterwards.
 
 This bench times both paths and asserts:
 
-* GEMM enumeration (``legal_configs``) is >= 10x the scalar walk
-  (REPRO_BENCH_SMOKE=1 relaxes the floor to 4x for noisy CI runners);
-* first-query CONV candidate generation (configs + feature matrix:
-  the (device, dtype) base plus its first bucket) is >= CONV_FLOOR x
-  the scalar loop (10x under smoke), so a 10x slower base build fails;
-* a new bucket once the base exists (a shape in a second tile
-  factorization) is >= 3x faster than that first query (2x under
-  smoke), so a return to generating every bucket from the GEMM set
-  fails;
+* GEMM enumeration (``legal_configs``) is >= GEMM_FLOOR x the scalar
+  walk (REPRO_BENCH_SMOKE=1 relaxes the floor for noisy CI runners);
+* first-query CONV candidate generation (the (device, dtype) base plus
+  its first bucket's record) is >= CONV_FLOOR x the scalar loop and its
+  feature matrix (10x under smoke), so a 10x slower base build fails;
+* a new bucket's record once the base exists (a shape in a second tile
+  factorization) is >= NEW_BUCKET_FLOOR x faster than that first query,
+  so deriving a bucket's columns or matrix again fails;
 * with a tiny-budget CONV fit and its cascade, the first search in a
-  new bucket takes at most 3x a search in a warm one (the median over
-  buckets the fit's calibration did not touch): a new bucket derives
-  its candidates and its split term, never a first-layer term of its
-  own, so a return to prescaling one per bucket fails;
+  new bucket takes at most NEW_SEARCH_CEILING x a search in a warm one
+  (the median over buckets the fit's calibration did not touch): a new
+  bucket derives its split rows and its split term, never a matrix or
+  a first-layer term of its own, so a return to either fails;
 * the candidate sets and feature matrices are **bit-identical** to the
   scalar oracles in ``tests/oracles.py``, in identical order;
 * a warmed :class:`~repro.core.candidate_store.CandidateStore` serves the
@@ -58,11 +59,15 @@ from repro.sampling.features import conv_config_matrix
 from tests.oracles import conv_candidates, legal_configs_reference
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
-GEMM_FLOOR = 4.0 if SMOKE else 10.0
+#: Five full runs on a 2-CPU Xeon host read 54.6-61.0x.
+GEMM_FLOOR = 10.0 if SMOKE else 25.0
 CONV_FLOOR = 10.0 if SMOKE else 45.0
-NEW_BUCKET_FLOOR = 2.0 if SMOKE else 3.0
-#: Ceiling on (first search in a new bucket) / (search in a warm one).
-NEW_SEARCH_CEILING = 3.0
+#: Five full runs read 269-417x: a new bucket's record takes ~0.1 ms,
+#: against ~14 ms to derive its matrix again.
+NEW_BUCKET_FLOOR = 20.0 if SMOKE else 50.0
+#: Ceiling on (first search in a new bucket) / (search in a warm one);
+#: five full runs read 1.01-1.09x (median over ten buckets).
+NEW_SEARCH_CEILING = 2.2
 #: Buckets the search ratio's median runs over.
 N_SEARCH_BUCKETS = 10
 
@@ -101,24 +106,23 @@ def test_bench_cold_start(results_recorder):
 
     conv_search.clear_bucket_cache()
     t0 = time.perf_counter()
-    conv_cfgs, conv_mat = conv_search.conv_candidates_batch(
-        device, CONV_SHAPE
-    )
+    conv_rec = conv_search.conv_candidates_batch(device, CONV_SHAPE)
     conv_vector_s = time.perf_counter() - t0
     conv_speedup = conv_scalar_s / conv_vector_s
 
-    # A new bucket once the base exists: only its split columns.  Timed
-    # before the parity checks, which build every config object.
+    # A new bucket once the base exists: only its split rows.  Timed
+    # before the parity checks, which derive the matrices and build
+    # every config object.
     assert conv_search.conv_bucket_key(
         device, NEW_BUCKET_SHAPE
     ) != conv_search.conv_bucket_key(device, CONV_SHAPE)
     t0 = time.perf_counter()
-    new_cfgs, new_mat = conv_search.conv_candidates_batch(
-        device, NEW_BUCKET_SHAPE
-    )
+    new_rec = conv_search.conv_candidates_batch(device, NEW_BUCKET_SHAPE)
     new_bucket_s = time.perf_counter() - t0
     new_bucket_speedup = conv_vector_s / new_bucket_s
 
+    conv_cfgs, conv_mat = conv_rec.configs, conv_rec.matrix
+    new_cfgs, new_mat = new_rec.configs, new_rec.matrix
     ref_new = conv_candidates(device, NEW_BUCKET_SHAPE)
     conv_identical = (
         conv_cfgs == ref_conv
@@ -199,7 +203,7 @@ def test_bench_cold_start(results_recorder):
         f"{'CONV same-bucket repeat':>38s} {'—':>10s} "
         f"{bucket_hit_ms:7.2f}ms {'':>8s}",
         f"{'CONV new bucket (vs first query)':>38s} "
-        f"{conv_vector_s * 1e3:8.1f}ms {new_bucket_s * 1e3:8.1f}ms "
+        f"{conv_vector_s * 1e3:8.1f}ms {new_bucket_s * 1e3:8.3f}ms "
         f"{new_bucket_speedup:7.1f}x",
         f"{'store-warmed cold start':>38s} {'—':>10s} "
         f"{store_s:9.2f}s {'':>8s}",

@@ -10,10 +10,10 @@ bundles the per-operation ingredients that pipeline consumes:
   samples from, and the legality predicate carving X out of X̂;
 * feature extractors mapping configs/shapes to the MLP's design matrix;
 * the array-native candidate supply for the runtime search
-  (``candidates_batch`` returns configs and their log-feature matrix
-  from one cached, vectorized pass), with ``candidate_key`` defining the
-  cache bucket for per-shape generators and ``candidate_groups`` the
-  base those buckets share;
+  (``candidates_batch`` returns the cached candidate record: configs,
+  and log features gathered by rows and columns), with
+  ``candidate_key`` defining the cache bucket for per-shape generators
+  and ``candidate_groups`` the base those buckets share;
 * the simulator entry points standing in for kernel launches — one
   launch (``simulate``), and batched (``benchmark_many`` /
   ``simulate_many`` evaluate N (config, shape) pairs per call through
@@ -46,9 +46,9 @@ from repro.gpu.device import DeviceSpec
 class OpSpec:
     """One tunable operation, as seen by every stage of the pipeline.
 
-    ``candidates_batch(device, shape, space=None)`` returns the configs
-    the runtime search scores for one query shape, with their log-feature
-    matrix.  ``enumerable=True`` declares that this set depends on the
+    ``candidates_batch(device, shape, space=None)`` returns the record
+    of the configs the runtime search scores for one query shape.
+    ``enumerable=True`` declares that this set depends on the
     shape only through its dtype (GEMM: the full legal set), so searches
     may cache per-(device, dtype); otherwise candidates are generated per
     shape (CONV: tile factorization).
@@ -79,10 +79,18 @@ class OpSpec:
     #: over a name->column mapping (one row per candidate config).
     legal_mask: Callable[..., np.ndarray]
     #: Array-native candidate supply:
-    #: ``candidates_batch(device, shape, space=None) -> (configs, matrix)``
-    #: returns the candidate list *and* its log-feature matrix in one call
-    #: (vectorized enumeration / generation + shared caching behind it).
-    candidates_batch: Callable[..., tuple[list, np.ndarray]]
+    #: ``candidates_batch(device, shape, space=None) -> record``, cached
+    #: behind the op's candidate key.  The search reads a record's
+    #: ``configs`` (indexed, never all built) and
+    #: ``features(rows=None, columns=None)``, the log features of some
+    #: rows and columns (all by default); ``matrix`` is the whole
+    #: log-feature matrix.  Enumerable ops return their enumeration's
+    #: :class:`~repro.inference.search.CandidateRecord`, whose matrix is
+    #: cached; CONV returns its bucket's
+    #: :class:`~repro.inference.conv_search.ConvBucket`, which holds only
+    #: its per-tile split rows and derives rows, columns and the matrix
+    #: from its base on each call.
+    candidates_batch: Callable[..., Any]
     enumerable: bool = False
     #: Overrides :meth:`candidate_cache_key` for non-enumerable ops whose
     #: candidate set depends on the shape only through a coarser bucket
@@ -97,9 +105,11 @@ class OpSpec:
     #: starts, columns)`` — the base's key, the candidate index of each
     #: row in group order, each group's first position in that order,
     #: and the config-feature columns that vary by group.  The search
-    #: then prescales one first-layer term per base and only the varying
-    #: columns per set (CONV: one term per (device, dtype), six split
-    #: columns per bucket).  Ops without one are the one-group case.
+    #: then prescales one first-layer term per base, from the record's
+    #: other columns in group order, and per set only the varying
+    #: columns of each group's first row (CONV: one term per (device,
+    #: dtype), six split columns of 25 rows per bucket).  Ops without
+    #: one are the one-group case.
     candidate_groups: Callable[..., tuple] | None = None
 
     # ------------------------------------------------------------------
@@ -222,17 +232,15 @@ def registered_ops() -> tuple[str, ...]:
 # Built-in specs
 # ----------------------------------------------------------------------
 
-def _gemm_candidates_batch(
-    device: DeviceSpec, shape, space=None
-) -> tuple[list, np.ndarray]:
-    from repro.inference.search import legal_configs
+def _gemm_candidates_batch(device: DeviceSpec, shape, space=None) -> Any:
+    from repro.inference.search import legal_record
 
-    return legal_configs(device, shape.dtype, "gemm", space)
+    return legal_record(device, shape.dtype, "gemm", space)
 
 
-def _conv_candidates_batch(
-    device: DeviceSpec, shape, space=None
-) -> tuple[list, np.ndarray]:
+def _conv_candidates_batch(device: DeviceSpec, shape, space=None) -> Any:
+    # Looked up at call time, so a wrapper around the module attribute
+    # (the e2e tracer's) sees every bucket request.
     from repro.inference.conv_search import conv_candidates_batch
 
     return conv_candidates_batch(device, shape)

@@ -37,33 +37,56 @@ class LazyConfigList(_SequenceABC):
     copy) and constructs a config exactly when one is indexed.  Equality
     against any sequence compares element-wise, so parity tests see a
     plain list of configs.
+
+    Columns that depend only on a row's group may be given per group:
+    with ``grouped=(group_of, per_group)``, row ``i`` reads column ``c``
+    as ``per_group[c][group_of[i]]`` (a CONV bucket: its six split
+    columns, one value per tile), so no per-row copy of them exists.
     """
 
-    __slots__ = ("_type", "_cols", "_items")
+    __slots__ = ("_type", "_cols", "_group_of", "_items")
 
-    def __init__(self, config_type: type, params: dict[str, np.ndarray]):
+    def __init__(
+        self,
+        config_type: type,
+        params: Mapping[str, np.ndarray],
+        grouped: tuple[np.ndarray, Mapping[str, np.ndarray]] | None = None,
+    ):
+        group_of, per_group = grouped or (None, {})
         self._type = config_type
+        self._group_of = group_of
+        #: (column, whether it is indexed by group), in parameter order.
         self._cols = tuple(
-            np.asarray(params[n]) for n in config_type.param_names()
+            (np.asarray(per_group[n]), True) if n in per_group
+            else (np.asarray(params[n]), False)
+            for n in config_type.param_names()
         )
         self._items: list | None = None
 
     def __len__(self) -> int:
-        return len(self._cols[0]) if self._cols else 0
+        if self._group_of is not None:
+            return len(self._group_of)
+        return len(self._cols[0][0]) if self._cols else 0
 
     def __getitem__(self, i):
         if self._items is not None:
             return self._items[i]
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        return self._type(*(int(c[i]) for c in self._cols))
+        g = None if self._group_of is None else self._group_of[i]
+        return self._type(
+            *(int(c[g] if by_group else c[i]) for c, by_group in self._cols)
+        )
 
     def __iter__(self):
         # Full traversals (feature builds, filters, parity compares) are
         # memoized so repeat passes don't reconstruct every object;
         # point lookups above stay allocation-free.
         if self._items is None:
-            cols = [c.tolist() for c in self._cols]
+            cols = [
+                (np.take(c, self._group_of) if by_group else c).tolist()
+                for c, by_group in self._cols
+            ]
             self._items = [self._type(*row) for row in zip(*cols)]
         return iter(self._items)
 

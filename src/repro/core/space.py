@@ -51,8 +51,11 @@ class ParamSpace:
         parameter, in exactly :meth:`iter_points` order (row-major product).
 
         This is the array-native form the vectorized candidate pipeline
-        consumes: ``spec.legal_mask`` filters all of X̂ in one call instead
-        of one ``is_legal`` per point.
+        consumes: ``spec.legal_mask`` filters a whole grid in one call
+        instead of one ``is_legal`` per point.  The enumeration calls it
+        once per block, a sub-space with the leading parameters fixed
+        (``repro.inference.search._blocks``; GEMM: 125 blocks of 15,120
+        points), so it never holds all of a large X̂ at once.
         """
         arrays = np.meshgrid(
             *(np.asarray(v, dtype=np.int64) for _, v in self.params),

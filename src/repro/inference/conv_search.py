@@ -20,10 +20,13 @@ decides.  Once per (device, dtype) it builds a *base*
 value and that pass ``conv_legal_mask``, with their eight GEMM-derived
 CONV columns ``kt kb u cs cl cg vec db``, those columns' log features and
 each row's block/thread tile (``ml``, ``ms``).  A query then only
-factorizes the base's few distinct tiles (25 on the shipped spaces) and
-gathers the six split columns ``nb pb qb nt pt qt``
-(:func:`_generate_bucket`); the other eight columns and their log
-features are the base's, shared by reference.  The result is cached per
+factorizes the base's few distinct tiles (25 on the shipped spaces):
+its bucket (:class:`ConvBucket`, :func:`_generate_bucket`) is that 25 x
+6 table of split columns ``nb pb qb nt pt qt`` and their log features,
+a few KiB.  Row ``i`` of the bucket is the base's row ``i`` with the
+split of its tile; the configs are a lazily indexed view of the base's
+eight columns and the table, and the 14 columns and the log-feature
+matrix are derived on request, never held.  The bucket is cached per
 *canonical bucket*: the factorization reads the batch only as
 ``min(next_pow2(n), ml)`` and the width only as
 ``min(next_pow2(q), ml // nb)`` (legality reads only the dtype), so
@@ -38,9 +41,11 @@ The search scores every bucket of a base through one first-layer term.
 The base also keeps its rows in tile-group order (``order``, a stable
 sort by tile) and each group's first position there (``starts``), and
 :func:`conv_candidate_groups` hands both to the search
-(``OpSpec.candidate_groups``): the eight shared columns are prescaled
+(``OpSpec.candidate_groups``): the eight shared columns' log features,
+gathered in group order (:meth:`ConvBucket.features`), are prescaled
 once per (device, dtype, fit), and a bucket adds only its six split
-columns through the first layer, one row per tile group.
+columns through the first layer, one row per tile group: its table.
+So no search derives a bucket's matrix.
 """
 
 from __future__ import annotations
@@ -52,14 +57,11 @@ import numpy as np
 
 from repro.core.config import ConvConfig
 from repro.core.legality import conv_legal_mask
+from repro.core.soa import LazyConfigList
 from repro.core.space import CONV_SPACE, GEMM_SPACE
 from repro.core.types import ConvShape, DType
 from repro.gpu.device import DeviceSpec
-from repro.inference.search import (
-    CandidateRecord,
-    KeyedRecordCache,
-    legal_record,
-)
+from repro.inference.search import KeyedRecordCache, legal_record
 from repro.sampling.features import config_matrix_from_params
 
 #: The CONV columns a tile factorization sets, in :func:`factorize_tile`
@@ -143,8 +145,8 @@ class _ConvBase:
 #: One :class:`_ConvBase` per (device, dtype).
 _BASE_CACHE = KeyedRecordCache()
 
-#: CONV candidate sets, shared by every search over the same bucket
-#: (device, dtype, canonical batch and width extents).
+#: One :class:`ConvBucket` per bucket (device, dtype, canonical batch and
+#: width extents), shared by every search over it.
 _BUCKET_CACHE = KeyedRecordCache()
 
 
@@ -287,54 +289,100 @@ def conv_candidate_groups(
     return key, base.order, base.starts, _SPLIT_COLUMNS
 
 
-def _generate_bucket(
-    device: DeviceSpec, shape: ConvShape
-) -> CandidateRecord:
-    """One bucket's candidates: the base with this split.
+@dataclass
+class ConvBucket:
+    """One bucket's candidate set: the base's rows with this bucket's split.
 
-    Only the six split columns are computed: :func:`factorize_tile` per
-    distinct tile of the base, taken to its rows.  The eight
-    GEMM-derived columns are the base's arrays, and their log features
-    are copied from the base into the 14-column matrix.  Every value is
-    a power of two, whose log2 is exact, so the matrix holds the bits
-    the op's ``config_matrix_from_params`` builds.
+    It holds only what depends on the bucket: each tile's
+    factorization (:func:`factorize_tile`, one row per tile group, 25
+    on the shipped spaces) and its log features, a few KiB.  Row ``i``
+    is the base's row ``i`` with the split of its tile ``tile_of[i]``:
+    ``configs`` reads it so, one config per index, and :meth:`features`
+    gathers any rows and columns of the log-feature matrix.  The search
+    reads only the base's shared columns (in its first-layer term) and
+    the per-group rows; :attr:`params` and :attr:`matrix` derive the 14
+    columns and the whole matrix on every access, never cached, for
+    callers outside the search (the tests, the benches,
+    ``ExhaustiveSearch.candidates``).
     """
+
+    base: _ConvBase
+    #: One row per tile of the base: its six split columns (``_SPLIT``).
+    split: np.ndarray
+    #: Their log features, in the same layout.
+    split_logs: np.ndarray
+    configs: LazyConfigList
+    space_params: tuple
+
+    ready: ClassVar[bool] = True
+
+    def materialize(self) -> "ConvBucket":
+        return self
+
+    @property
+    def params(self) -> dict[str, np.ndarray]:
+        """The 14 config columns; the base's eight are shared, not copied."""
+        cols = self.base.params | {
+            n: np.take(self.split[:, j], self.base.tile_of)
+            for j, n in enumerate(_SPLIT)
+        }
+        return {n: cols[n] for n in _NAMES}
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The whole log-feature matrix, rows in candidate order."""
+        return self.features()
+
+    def features(
+        self, rows: np.ndarray | None = None, columns=None
+    ) -> np.ndarray:
+        """Log features of ``columns`` (matrix positions) at ``rows``.
+
+        Both default to all.  Every value is a power of two, whose log2
+        is exact, so these are the bits the op's
+        ``config_matrix_from_params`` gives for the same configs.
+        """
+        base = self.base
+        at = slice(None) if rows is None else rows
+        names = _NAMES if columns is None else [_NAMES[j] for j in columns]
+        tiles = base.tile_of[at]
+        out = np.empty((len(tiles), len(names)))
+        for j, name in enumerate(names):
+            if name in _SPLIT:
+                out[:, j] = self.split_logs[tiles, _SPLIT.index(name)]
+            else:
+                out[:, j] = base.logs[name][at]
+        return out
+
+
+def _generate_bucket(device: DeviceSpec, shape: ConvShape) -> ConvBucket:
+    """One bucket: :func:`factorize_tile` once per tile of the base."""
     base = _conv_base(device, shape.dtype)
     split = np.array(
         [factorize_tile(int(ml), int(ms), shape) for ml, ms in base.tiles],
         dtype=np.int64,
     ).reshape(len(base.tiles), len(_SPLIT))
-    cols = base.params | {
-        name: np.take(split[:, j], base.tile_of)
-        for j, name in enumerate(_SPLIT)
-    }
-    # Each tile's split log features, in matrix columns, taken to the
-    # rows; then the base's eight columns fill the rest.
-    table = np.zeros((len(base.tiles), len(_NAMES)))
-    table[:, [_NAMES.index(c) for c in _SPLIT]] = config_matrix_from_params(
-        dict(zip(_SPLIT, split.T)), _SPLIT
-    )
-    matrix = np.take(table, base.tile_of, axis=0)
-    for c, col in base.logs.items():
-        matrix[:, _NAMES.index(c)] = col
-    return CandidateRecord(
-        op="conv",
-        params={n: cols[n] for n in _NAMES},
-        matrix=matrix,
+    per_tile = dict(zip(_SPLIT, split.T))
+    return ConvBucket(
+        base=base,
+        split=split,
+        split_logs=config_matrix_from_params(per_tile, _SPLIT),
+        configs=LazyConfigList(
+            ConvConfig, base.params, (base.tile_of, per_tile)
+        ),
         space_params=base.space_params,
     )
 
 
-def conv_candidates_batch(
-    device: DeviceSpec, shape: ConvShape
-) -> tuple[list[ConvConfig], np.ndarray]:
-    """Candidates + log-feature matrix for one shape, via the bucket cache.
+def conv_candidates_batch(device: DeviceSpec, shape: ConvShape) -> ConvBucket:
+    """The candidate record of one shape's bucket, via the bucket cache.
 
-    Bit-identical to the scalar walk followed by the op's
-    ``config_matrix`` (same candidates, same order, same float64 bits),
-    but derived as array arithmetic from the (device, dtype) base and
-    shared by every shape with the same :func:`conv_bucket_key`.
-    Thread-safe: concurrent queries build the base and each bucket once.
+    Its configs and derived matrix are bit-identical to the scalar walk
+    followed by the op's ``config_matrix`` (same candidates, same order,
+    same float64 bits), but the bucket is derived from the (device,
+    dtype) base and shared by every shape with the same
+    :func:`conv_bucket_key`.  Thread-safe: concurrent queries build the
+    base and each bucket once.
     """
     rec = _BUCKET_CACHE.get(
         conv_bucket_key(device, shape),
@@ -345,7 +393,7 @@ def conv_candidates_batch(
     )
     if not rec.configs:
         raise RuntimeError(f"no CONV candidate for {shape} on {device.name}")
-    return rec.configs, rec.matrix
+    return rec
 
 
 def clear_bucket_cache() -> None:

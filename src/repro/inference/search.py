@@ -29,7 +29,10 @@ cached term ``A = Za @ W1a + b1`` over its other columns, rows in group
 order, and each set only its split term ``T = Zt @ W1t``, one row per
 group.  A query at shape term ``h = Zs @ W1s`` scores row ``r`` of group
 ``g`` from the first-layer input ``A[r] + (h + T[g])``: one per-(shape,
-group) constant added to every row of the group.  An op without groups
+group) constant added to every row of the group.  The search reads
+``Za`` and the groups' ``Zt`` rows through the set's record
+(``features(rows, columns)``), so a CONV bucket never builds its whole
+matrix.  An op without groups
 is the one-group case: ``A`` is the whole prescaled matrix, ``T`` is
 absent and the constant is ``h``.  :meth:`ExhaustiveSearch.top_k_batch`
 amortizes further by pushing many query shapes — of any set of one
@@ -85,10 +88,12 @@ stage 1 cannot threshold, shortlist blown wide, or an observed gap above
 
 from __future__ import annotations
 
+import itertools
+import math
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -111,6 +116,10 @@ _CHUNK_ROWS = 2048
 #: once by top_k_batch (32M float64 = 256 MiB).
 _BATCH_BLOCK_ELEMS = 32_000_000
 
+#: Most rows of X̂ that one enumeration block holds (:func:`_blocks`):
+#: GEMM walks 125 blocks of 15,120 rows.
+_ENUM_BLOCK_ROWS = 65_536
+
 #: Default stage-2 shortlist length (before margin widening); the engine
 #: and CLI expose it as ``cascade_keep``.
 _CASCADE_KEEP = 256
@@ -127,12 +136,13 @@ _CASCADE_MAX_FRAC = 0.5
 
 @dataclass
 class CandidateRecord:
-    """One cached candidate set, in array and (lazily) object form.
+    """One cached enumeration, in array and (lazily) object form.
 
     ``params`` holds the surviving tuning-parameter columns of the
     vectorized enumeration — the persistable form the on-disk candidate
     store round-trips.  ``configs``/``matrix`` are materialized from the
-    columns on first use.  ``space_params`` remembers the value sets the
+    columns once, when the record is first served, and kept.
+    ``space_params`` remembers the value sets the
     set was enumerated from, so a record persisted before a
     :class:`~repro.core.space.ParamSpace` edit is detected as stale and
     re-enumerated instead of silently served.
@@ -147,6 +157,24 @@ class CandidateRecord:
     @property
     def ready(self) -> bool:
         return self.configs is not None and self.matrix is not None
+
+    def features(
+        self, rows: np.ndarray | None = None, columns=None
+    ) -> np.ndarray:
+        """Log features of ``columns`` (matrix positions) at ``rows``.
+
+        Both default to all; with neither given this is the cached
+        matrix itself.  The search reads a set's features only through
+        this call, so a record may derive them instead of holding the
+        matrix (a CONV bucket does).
+        """
+        if rows is None and columns is None:
+            return self.matrix
+        n, width = self.matrix.shape
+        return self.matrix[np.ix_(
+            np.arange(n) if rows is None else rows,
+            np.arange(width) if columns is None else columns,
+        )]
 
     def materialize(self) -> "CandidateRecord":
         """Build configs + log-feature matrix from the stored columns.
@@ -171,7 +199,7 @@ class KeyedRecordCache:
     """A thread-safe map of :class:`CandidateRecord` built once per key.
 
     Any record with ``ready`` and ``materialize()`` fits (CONV keeps its
-    per-(device, dtype) base in one).
+    per-(device, dtype) bases and its buckets in two).
     Concurrent callers of the same key elect one builder (per-key locks);
     different keys build in parallel.  ``seed`` publishes a params-only
     record (e.g. loaded from the on-disk candidate store) without racing
@@ -273,20 +301,48 @@ def _check_enumerable(spec: OpSpec) -> None:
         )
 
 
+def _blocks(space: ParamSpace) -> Iterator[ParamSpace]:
+    """X̂ as sub-spaces, in :meth:`ParamSpace.iter_points` order.
+
+    Each block fixes the leading parameters, as few as leave at most
+    ``_ENUM_BLOCK_ROWS`` points (all but the last, if even that one
+    parameter's values exceed it).  The product is row-major, so the
+    blocks' grids, one after the other, are X̂'s grid.
+    """
+    sizes = [len(values) for _, values in space.params]
+    lead = next(
+        d for d in range(len(sizes))
+        if math.prod(sizes[d:]) <= _ENUM_BLOCK_ROWS or d == len(sizes) - 1
+    )
+    fixed, free = space.params[:lead], space.params[lead:]
+    for point in itertools.product(*(values for _, values in fixed)):
+        yield ParamSpace(
+            space.name,
+            tuple((n, (v,)) for (n, _), v in zip(fixed, point)) + free,
+        )
+
+
 def _enumerate_record(
     spec: OpSpec, device: DeviceSpec, dtype: DType, space: ParamSpace
 ) -> CandidateRecord:
     """Enumerate X for one (op, device, dtype, space) as a record.
 
-    Materialize X̂ as struct-of-arrays columns (:meth:`ParamSpace.grid`),
-    apply the op's ``legal_mask`` once, and keep only the surviving
-    columns — config objects and the feature matrix are derived from
-    them afterwards.
+    Walks X̂ one block at a time (:func:`_blocks`): each block's
+    struct-of-arrays columns (:meth:`ParamSpace.grid`) go through the
+    op's ``legal_mask`` and only the survivors are kept, concatenated in
+    order — the rows the one-shot grid and mask would keep, without
+    ever holding X̂'s columns (GEMM: 1.89M rows, ~350 MiB with the
+    mask's temporaries).  Config objects and the feature matrix are
+    derived from the survivors afterwards.
     """
-    cols = space.grid()
-    mask = np.asarray(spec.legal_mask(device, cols, dtype), dtype=bool)
-    idx = np.flatnonzero(mask)
-    params = {n: np.ascontiguousarray(c[idx]) for n, c in cols.items()}
+    kept: dict[str, list[np.ndarray]] = {n: [] for n in space.names}
+    for block in _blocks(space):
+        cols = block.grid()
+        mask = np.asarray(spec.legal_mask(device, cols, dtype), dtype=bool)
+        idx = np.flatnonzero(mask)
+        for n, c in cols.items():
+            kept[n].append(c[idx])
+    params = {n: np.concatenate(parts) for n, parts in kept.items()}
     return CandidateRecord(
         op=spec.name, params=params, space_params=space.params
     )
@@ -323,11 +379,13 @@ def legal_configs(
     """All legal configs for (device, dtype) plus their log-feature matrix.
 
     Only ops whose candidate set is shape-independent (``enumerable``) can
-    be enumerated here.  Vectorized and cached: one ``legal_mask`` pass
-    over the gridded product space (~0.5 s for GEMM's 1.89M points on a
-    2-CPU Xeon host, where the scalar walk in ``tests/oracles.py`` takes
-    ~16 s) is shared by every later search, and thread-safe — concurrent
-    callers enumerate each key once.
+    be enumerated here.  Vectorized and cached: ``legal_mask`` passes
+    over the gridded product space, one block at a time (~0.3 s for
+    GEMM's 1.89M points with the matrix on a 2-CPU Xeon host, where the
+    scalar walk in ``tests/oracles.py`` takes ~14 s), are shared by
+    every later search, and thread-safe — concurrent callers enumerate
+    each key once.  The search reads the record itself
+    (:func:`legal_record`, the ``candidates_batch`` slot).
     """
     rec = legal_record(device, dtype, op, space)
     return rec.configs, rec.matrix
@@ -749,8 +807,9 @@ class _Term:
 class _CandidateSet:
     """One op's candidates with precomputed search-side artifacts."""
 
-    configs: list
-    cfg_matrix: np.ndarray
+    #: The op's candidate record (``OpSpec.candidates_batch``): its
+    #: ``configs`` and, through ``features()``, its log features.
+    record: object
     #: ``(term key, order, starts, split columns)``: the set's base, its
     #: rows' group order and starts, and the config-feature columns that
     #: vary by group (none for a one-group op).
@@ -759,6 +818,10 @@ class _CandidateSet:
     #: ``T``: the split columns through the first layer, one row per
     #: group; None when no column varies by group.
     split: np.ndarray | None = None
+
+    @property
+    def configs(self) -> Sequence:
+        return self.record.configs
 
 
 class ExhaustiveSearch:
@@ -827,9 +890,9 @@ class ExhaustiveSearch:
         key = self._spec.candidate_cache_key(self._device, shape, self._space)
         cs = self._sets.get(key)
         if cs is None:
-            # List + log-feature matrix in one call, cached module-wide
-            # behind the op's candidate key.
-            configs, matrix = self._spec.candidates_batch(
+            # The op's record, cached module-wide behind its candidate
+            # key.
+            record = self._spec.candidates_batch(
                 self._device, shape, self._space
             )
             if self._spec.candidate_groups is not None:
@@ -838,8 +901,7 @@ class ExhaustiveSearch:
                 )
             else:
                 groups = (key, None, np.zeros(1, dtype=np.intp), ())
-            cs = _CandidateSet(configs=configs, cfg_matrix=matrix,
-                               groups=groups)
+            cs = _CandidateSet(record=record, groups=groups)
             self._sets[key] = cs
         if cs.term is None:
             self._attach_term(cs)
@@ -862,7 +924,7 @@ class ExhaustiveSearch:
         if split:
             # Split columns depend only on the group: each group's first
             # row carries them.
-            first = cs.cfg_matrix[np.ix_(order[starts], split)]
+            first = cs.record.features(order[starts], split)
             cs.split = self._folded.split_term(first, list(split))
 
     def _prescale_term(self, cs: _CandidateSet) -> np.ndarray:
@@ -873,10 +935,12 @@ class ExhaustiveSearch:
         """
         _, order, _, split = cs.groups
         if not split:
-            return self._folded.prescale(cs.cfg_matrix)
-        shared = [j for j in range(cs.cfg_matrix.shape[1]) if j not in split]
+            return self._folded.prescale(cs.record.features())
+        shared = [
+            j for j in range(self._spec.n_config_features) if j not in split
+        ]
         return self._folded.prescale(
-            cs.cfg_matrix[np.ix_(order, shared)], shared
+            cs.record.features(order, shared), shared
         )
 
     def _first_layer(self, cs: _CandidateSet, shape) -> np.ndarray:
@@ -1081,9 +1145,14 @@ class ExhaustiveSearch:
         return out
 
     def candidates(self, shape) -> tuple[list, np.ndarray]:
-        """Candidate configs + config-feature matrix for one query shape."""
+        """Candidate configs + config-feature matrix for one query shape.
+
+        Not on the search's own path: a CONV bucket derives its matrix
+        on every call (the search reads only the base's shared columns
+        and the bucket's per-group rows).
+        """
         cs = self._candidate_set(shape)
-        return cs.configs, cs.cfg_matrix
+        return cs.configs, cs.record.matrix
 
     # ------------------------------------------------------------------
     def predictions(self, shape) -> np.ndarray:

@@ -50,11 +50,15 @@ def config_matrix_from_params(
     Bit-identical to ``*_config_matrix`` over the equivalent config
     objects (same float64 conversion, same log transform) without ever
     materializing them — the array-native path of the candidate pipeline.
+    Built one column at a time, so the transients are a column's, not
+    the matrix's (GEMM's enumeration: 161,518 rows).
     """
-    raw = np.column_stack(
-        [np.asarray(params[n]) for n in feature_names]
-    ).astype(np.float64)
-    return _log_positive(raw) if log else raw
+    n = len(params[feature_names[0]]) if feature_names else 0
+    out = np.empty((n, len(feature_names)))
+    for j, name in enumerate(feature_names):
+        col = np.asarray(params[name], dtype=np.float64)
+        out[:, j] = _log_positive(col) if log else col
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,9 @@ production path calls them.
 * :func:`legal_configs_reference` walks X̂ point by point through the
   op's scalar ``is_legal``
   (vs :func:`repro.inference.search.legal_configs`);
+* :func:`enumeration_one_shot` grids all of X̂ at once and masks it in
+  one ``legal_mask`` call (vs the blocked walk behind
+  :func:`repro.inference.search.legal_record`);
 * :func:`conv_candidates` projects, dedups and legality-checks the GEMM
   tile set one row at a time
   (vs :func:`repro.inference.conv_search.conv_candidates_batch`);
@@ -68,6 +71,17 @@ def legal_configs_reference(
         if spec.is_legal(cfg, dtype, device):
             configs.append(cfg)
     return configs, spec.config_matrix(configs, log=True)
+
+
+def enumeration_one_shot(
+    device: DeviceSpec, dtype: DType, op: str | OpSpec, space: ParamSpace
+) -> dict[str, np.ndarray]:
+    """X's columns from one grid of all of X̂ and one ``legal_mask``."""
+    spec = get_op(op)
+    cols = space.grid()
+    mask = np.asarray(spec.legal_mask(device, cols, dtype), dtype=bool)
+    idx = np.flatnonzero(mask)
+    return {n: np.ascontiguousarray(c[idx]) for n, c in cols.items()}
 
 
 def conv_config_from_gemm(

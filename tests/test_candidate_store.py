@@ -56,16 +56,16 @@ class TestCandidateStore:
         shape = ConvShape.from_output(
             n=4, p=14, q=14, k=64, c=128, r=3, s=3
         )
-        cfgs, matrix = conv_search.conv_candidates_batch(GTX_980_TI, shape)
+        bucket = conv_search.conv_candidates_batch(GTX_980_TI, shape)
+        cfgs, matrix = bucket.configs, bucket.matrix
         store = CandidateStore(tmp_path / "candidates")
         assert store.save() == 1  # the gemm enumeration, no conv bucket
         assert [p.name.split("--")[0] for p in store.files()] == ["enum"]
         search.clear_cache()
         assert store.load() == 1
         _forbid_enumeration(monkeypatch)
-        loaded, loaded_matrix = conv_search.conv_candidates_batch(
-            GTX_980_TI, shape
-        )
+        loaded_bucket = conv_search.conv_candidates_batch(GTX_980_TI, shape)
+        loaded, loaded_matrix = loaded_bucket.configs, loaded_bucket.matrix
         assert loaded == cfgs
         assert np.array_equal(loaded_matrix, matrix)
 
@@ -144,9 +144,8 @@ class TestCandidateStore:
 
         shape = ConvShape.from_output(n=32, p=14, q=8, k=64, c=128, r=3,
                                       s=3)
-        conv_search.conv_candidates_batch(GTX_980_TI, shape)
+        columns = conv_search.conv_candidates_batch(GTX_980_TI, shape).params
         key = conv_search.conv_bucket_key(GTX_980_TI, shape)
-        columns = conv_search._BUCKET_CACHE.snapshot()[key].params
         old = tmp_path / "conv-bucket--conv--gtx-980-ti--fp32--32--8.npz"
         meta = {"version": candidate_store._VERSION, "kind": "conv-bucket",
                 "op": "conv", "key": list(key), "space": None}

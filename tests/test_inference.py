@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.batched import BatchedGemmShape
-from repro.core.config import GemmConfig
+from repro.core.config import ConvConfig, GemmConfig
 from repro.core.legality import is_legal_conv, is_legal_gemm
 from repro.core.types import ConvShape, DType, GemmShape
 from repro.gpu.device import GTX_980_TI, TESLA_P100
@@ -270,9 +270,8 @@ class TestConvBuckets:
         from repro.sampling.features import conv_config_matrix
 
         clear_bucket_cache()
-        batch_cfgs, batch_mat = conv_candidates_batch(
-            GTX_980_TI, self.SHAPE
-        )
+        bucket = conv_candidates_batch(GTX_980_TI, self.SHAPE)
+        batch_cfgs, batch_mat = bucket.configs, bucket.matrix
         scalar_cfgs = conv_candidates(GTX_980_TI, self.SHAPE)
         assert batch_cfgs == scalar_cfgs
         assert np.array_equal(
@@ -332,32 +331,39 @@ class TestConvBuckets:
 
     def test_one_factorization_one_record(self):
         """n=32 leaves room for a width of 256 // 32 = 8 at most, so
-        q=8 and q=128 share one record, equal to the scalar reference."""
+        q=8 and q=128 share one record, equal to the scalar reference.
+        The record derives its matrix on each call, never caching it."""
         from repro.inference.conv_search import clear_bucket_cache
         from repro.sampling.features import conv_config_matrix
 
         narrow = ConvShape.from_output(n=32, p=14, q=8, k=64, c=128, r=3, s=3)
         wide = ConvShape.from_output(n=32, p=14, q=128, k=64, c=128, r=3, s=3)
         clear_bucket_cache()
-        first, first_mat = conv_candidates_batch(GTX_980_TI, narrow)
-        second, second_mat = conv_candidates_batch(GTX_980_TI, wide)
-        assert second is first and second_mat is first_mat
+        first_rec = conv_candidates_batch(GTX_980_TI, narrow)
+        second_rec = conv_candidates_batch(GTX_980_TI, wide)
+        first, first_mat = first_rec.configs, first_rec.matrix
+        second, second_mat = second_rec.configs, second_rec.matrix
+        assert second_rec is first_rec
+        assert second is first and second_mat is not first_mat
+        assert np.array_equal(
+            second_mat.view(np.uint64), first_mat.view(np.uint64)
+        )
         scalar = conv_candidates(GTX_980_TI, wide)
         assert first == scalar
         assert np.array_equal(first_mat, conv_config_matrix(scalar, log=True))
 
     def test_same_bucket_shares_candidate_set(self):
         same = ConvShape.from_output(n=3, p=20, q=13, k=32, c=64, r=3, s=3)
-        first, _ = conv_candidates_batch(GTX_980_TI, self.SHAPE)
-        second, _ = conv_candidates_batch(GTX_980_TI, same)
+        first = conv_candidates_batch(GTX_980_TI, self.SHAPE).configs
+        second = conv_candidates_batch(GTX_980_TI, same).configs
         assert second is first  # cache hit, not a regeneration
 
     def test_different_buckets_generate_independently(self):
         bigger_n = ConvShape.from_output(
             n=32, p=14, q=14, k=64, c=128, r=3, s=3
         )
-        a, _ = conv_candidates_batch(GTX_980_TI, self.SHAPE)
-        b, _ = conv_candidates_batch(GTX_980_TI, bigger_n)
+        a = conv_candidates_batch(GTX_980_TI, self.SHAPE).configs
+        b = conv_candidates_batch(GTX_980_TI, bigger_n).configs
         assert a is not b
         # A different batch extent really changes the factorization.
         assert a != b
@@ -365,9 +371,11 @@ class TestConvBuckets:
     def test_cached_equals_freshly_generated(self):
         from repro.inference.conv_search import clear_bucket_cache
 
-        cached, cached_mat = conv_candidates_batch(GTX_980_TI, self.SHAPE)
+        cached_rec = conv_candidates_batch(GTX_980_TI, self.SHAPE)
+        cached, cached_mat = cached_rec.configs, cached_rec.matrix
         clear_bucket_cache()
-        fresh, fresh_mat = conv_candidates_batch(GTX_980_TI, self.SHAPE)
+        fresh_rec = conv_candidates_batch(GTX_980_TI, self.SHAPE)
+        fresh, fresh_mat = fresh_rec.configs, fresh_rec.matrix
         assert cached is not fresh
         assert cached == fresh
         assert np.array_equal(cached_mat, fresh_mat)
@@ -454,17 +462,25 @@ class TestConvBase:
         def check(extent):
             shape = _conv(*extent, dtype)
             rec = _generate_bucket(device, shape).materialize()
+            derived, derived_matrix = rec.params, rec.matrix
             params, matrix = _generated_per_bucket(device, shape)
-            assert list(rec.params) == list(params)
+            assert list(derived) == list(params)
             for name, col in params.items():
-                assert rec.params[name].dtype == col.dtype
-                assert np.array_equal(rec.params[name], col), (extent, name)
-            assert rec.matrix.dtype == matrix.dtype
-            assert rec.matrix.shape == matrix.shape
-            assert rec.matrix.flags.c_contiguous
+                assert derived[name].dtype == col.dtype
+                assert np.array_equal(derived[name], col), (extent, name)
+            assert derived_matrix.dtype == matrix.dtype
+            assert derived_matrix.shape == matrix.shape
+            assert derived_matrix.flags.c_contiguous
             assert np.array_equal(
-                rec.matrix.view(np.uint64), matrix.view(np.uint64)
+                derived_matrix.view(np.uint64), matrix.view(np.uint64)
             ), extent
+            # The configs view reads the same rows.
+            assert rec.configs[0] == ConvConfig(
+                *(int(params[n][0]) for n in params)
+            )
+            assert rec.configs[-1] == ConvConfig(
+                *(int(params[n][-1]) for n in params)
+            )
 
         # numpy releases the GIL in the heavy passes, so two threads
         # take ~40% off the wall time on two CPUs.
@@ -500,21 +516,30 @@ class TestConvBase:
         # FP64: the smallest set, so the scalar loop stays short.
         conv_candidates_batch(GTX_980_TI, _conv(1, 1, DType.FP64))  # base
         shape = _conv(16, 4, DType.FP64)
-        cfgs, matrix = conv_candidates_batch(GTX_980_TI, shape)
+        bucket = conv_candidates_batch(GTX_980_TI, shape)
+        cfgs, matrix = bucket.configs, bucket.matrix
         scalar = conv_candidates(GTX_980_TI, shape)
         assert cfgs == scalar
         assert np.array_equal(matrix, conv_config_matrix(scalar, log=True))
 
     def test_buckets_share_the_gemm_derived_columns(self):
-        from repro.inference.conv_search import _generate_bucket
+        """Two buckets hold only their own split rows; the columns they
+        derive share the base's eight and differ in the split."""
+        from repro.inference.conv_search import _SPLIT, _generate_bucket
 
         a = _generate_bucket(GTX_980_TI, _conv(1, 1))
         b = _generate_bucket(GTX_980_TI, _conv(32, 8))
+        assert a.base is b.base
+        a_cols, b_cols = a.params, b.params
         for name in ("kt", "kb", "u", "cs", "cl", "cg", "vec", "db"):
-            assert np.shares_memory(a.params[name], b.params[name]), name
+            assert np.shares_memory(a_cols[name], b_cols[name]), name
         for name in ("nb", "pb", "qb", "nt", "pt", "qt"):
-            assert not np.shares_memory(a.params[name], b.params[name])
-        assert not np.array_equal(a.params["nb"], b.params["nb"])
+            assert not np.shares_memory(a_cols[name], b_cols[name])
+        assert not np.array_equal(a_cols["nb"], b_cols["nb"])
+        for rec in (a, b):
+            assert rec.split.shape == rec.split_logs.shape == (
+                len(a.base.tiles), len(_SPLIT)
+            )
 
     def test_concurrent_first_requests_build_the_base_once(
         self, monkeypatch
@@ -537,7 +562,7 @@ class TestConvBase:
 
         def first_request(shape):
             barrier.wait()
-            return conv_candidates_batch(GTX_980_TI, shape)[1]
+            return conv_candidates_batch(GTX_980_TI, shape).matrix
 
         with ThreadPoolExecutor(len(shapes)) as pool:
             mats = list(pool.map(first_request, shapes, timeout=120))
@@ -882,8 +907,8 @@ def test_gathered_predict_equals_full_predict(op, request):
 
 def test_conv_buckets_share_one_term(small_conv_tuner):
     """Two buckets' sets score one term object; each holds only its own
-    (tile groups x width) split term, and the search exports one term
-    per base."""
+    (tile groups x width) split term, its record only its 25 split rows
+    (no matrix), and the search exports one term per base."""
     search = small_conv_tuner.searcher
     a = search._candidate_set(_conv(1, 1))
     b = search._candidate_set(_conv(32, 8))
@@ -893,10 +918,15 @@ def test_conv_buckets_share_one_term(small_conv_tuner):
     for cs in (a, b):
         own = {
             name: value for name, value in vars(cs).items()
-            if isinstance(value, np.ndarray) and name != "cfg_matrix"
+            if isinstance(value, np.ndarray)
         }
         assert list(own) == ["split"]
         assert cs.split.shape == (25, width)
+        held = {
+            name: value.shape for name, value in vars(cs.record).items()
+            if isinstance(value, np.ndarray)
+        }
+        assert held == {"split": (25, 6), "split_logs": (25, 6)}
     assert not np.array_equal(a.split, b.split)
     base_key = ("conv", TESLA_P100.name, "FP32")
     assert a.groups[0] == b.groups[0] == base_key

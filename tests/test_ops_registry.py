@@ -28,7 +28,7 @@ from repro.gpu.simulator import (
     simulate_gemm,
     simulate_gemm_many,
 )
-from repro.inference.search import ExhaustiveSearch, legal_configs
+from repro.inference.search import ExhaustiveSearch, legal_record
 from repro.mlp.crossval import fit_regressor
 from repro.sampling.dataset import GemmShapeSampler, generate_dataset
 from repro.sampling.features import (
@@ -67,7 +67,7 @@ def _make_toy_spec(name: str = "toygemm") -> OpSpec:
         benchmark_many=benchmark_gemm_many,
         simulate_many=simulate_gemm_many,
         legal_mask=gemm_legal_mask,
-        candidates_batch=lambda device, shape, space=None: legal_configs(
+        candidates_batch=lambda device, shape, space=None: legal_record(
             device, shape.dtype, name, space
         ),
         enumerable=True,
