@@ -104,7 +104,7 @@ def run_bench(results_recorder, cascade: bool = True) -> None:
     search = ExhaustiveSearch(fit, TESLA_P100, "gemm")
     n_candidates = len(search.candidates(QUERY_SHAPES[0])[0])
 
-    # Warm every cache (enumeration, feature matrix, pre-scaled H0).
+    # Warm every cache (enumeration, feature matrix, first-layer term).
     _seed_top_k(search, QUERY_SHAPES[0], 10)
     search.top_k(QUERY_SHAPES[0], 10)
     search.top_k_batch(QUERY_SHAPES, 10)

@@ -126,8 +126,8 @@ class SharedArrayPack:
     """Many named numpy arrays in one ``multiprocessing.shared_memory`` block.
 
     The worker tier must hand each process the candidate state — the
-    enumerations' survivor columns and the first-layer terms (each ``A``
-    with its float32 twin); ~160k rows per enumeration — without a
+    enumerations' survivor columns and the first-layer terms (each one
+    float32 twin); ~160k rows per enumeration — without a
     per-process copy.  ``create`` lays every array out back-to-back
     (64-byte aligned) in a single segment and returns a picklable
     *manifest* ``{name: (dtype_str, shape, offset)}``; ``attach`` reopens

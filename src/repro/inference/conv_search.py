@@ -42,9 +42,11 @@ The base also keeps its rows in tile-group order (``order``, a stable
 sort by tile) and each group's first position there (``starts``), and
 :func:`conv_candidate_groups` hands both to the search
 (``OpSpec.candidate_groups``): the eight shared columns' log features,
-gathered in group order (:meth:`ConvBucket.features`), are prescaled
-once per (device, dtype, fit), and a bucket adds only its six split
-columns through the first layer, one row per tile group: its table.
+gathered in group order (:meth:`ConvBucket.features`), go through the
+first layer into one term per (device, dtype, fit) (its float32 twin is
+built once; the float64 passes gather and recompute their rows chunk by
+chunk), and a bucket adds only its six split columns through the first
+layer, one row per tile group: its table.
 So no search derives a bucket's matrix.
 """
 

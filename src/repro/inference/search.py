@@ -25,18 +25,28 @@ Candidate sets come in *groups*: an op may declare
 hold one base's rows and differ only in a few config columns ``Zt``
 that depend on nothing but each row's group (CONV: the six split
 columns, one value per block/thread tile).  Each base then gets one
-cached term ``A = Za @ W1a + b1`` over its other columns, rows in group
-order, and each set only its split term ``T = Zt @ W1t``, one row per
-group.  A query at shape term ``h = Zs @ W1s`` scores row ``r`` of group
-``g`` from the first-layer input ``A[r] + (h + T[g])``: one per-(shape,
+term ``A = Za @ W1a + b1`` over its other columns, rows in group order,
+and each set only its split term ``T = Zt @ W1t``, one row per group.
+A query at shape term ``h = Zs @ W1s`` scores row ``r`` of group ``g``
+from the first-layer input ``A[r] + (h + T[g])``: one per-(shape,
 group) constant added to every row of the group.  The search reads
 ``Za`` and the groups' ``Zt`` rows through the set's record
 (``features(rows, columns)``), so a CONV bucket never builds its whole
-matrix.  An op without groups
-is the one-group case: ``A`` is the whole prescaled matrix, ``T`` is
-absent and the constant is ``h``.  :meth:`ExhaustiveSearch.top_k_batch`
-amortizes further by pushing many query shapes — of any set of one
-base — through each cache-resident chunk of ``A``.
+matrix.  An op without groups is the one-group case: ``A`` is the whole
+prescaled matrix, ``T`` is absent and the constant is ``h``.
+:meth:`ExhaustiveSearch.top_k_batch` amortizes further by pushing many
+query shapes — of any set of one base — through each cache-resident
+chunk of ``A``.
+
+A term caches only ``A`` cast to float32, the twin stage 1 streams over
+(161,518 x 32: ~21 MB for a GEMM set), built chunk by chunk.  Every
+float64 pass computes the rows of ``A`` it reads where it reads them,
+from the record (:meth:`_FoldedMLP.a_rows`): the exhaustive pass
+once per chunk for every shape of the pass, stage 2 once per shortlist
+gather.  A BLAS product rounds a row the same whatever other rows share
+the call, except that it multiplies a one-row block with its
+matrix-vector routine, so a one-row block is computed as two; the rows
+are then the bits a whole-set product gives.
 
 Every full pass over a term — stage 1 below, the exhaustive fallback,
 cascade calibration — walks one chunk grid: the multiples of
@@ -72,10 +82,10 @@ shortlist to equal the exhaustive scores of the same rows bit for bit.
 Both float64 passes form a row's first-layer input with the same single
 add of the same float64 values, ``A[r] + c[g]`` (the exhaustive pass
 broadcasts ``c[g]`` over a chunk, stage 2 gathers one ``c[g]`` per
-row), so they agree there; after it, the float64 pass computes its
-width-1 output layer as a row-wise reduction (a BLAS product rounds a
-row differently depending on how many rows share the call) and scores
-a one-row chunk as two.  (Cheaper
+row; both compute ``A[r]`` as above), so they agree there; after it,
+the float64 pass computes its width-1 output layer as a row-wise
+reduction (a BLAS product rounds a row differently depending on how
+many rows share the call) and scores a one-row chunk as two.  (Cheaper
 stage-1 families — collapsed linear readouts, distilled students,
 certified interval bounds — were measured and rejected: their score
 error is orders of magnitude above the ~0.01-unit gap between the top-k
@@ -417,26 +427,31 @@ def clear_cache() -> None:
 
 
 def _score_chunks(
-    h0: np.ndarray,
+    n: int,
     starts: np.ndarray,
     consts: Sequence[Sequence],
     out: np.ndarray,
     widths: Sequence[int],
+    chunk_rows: Callable[[int, int, list[np.ndarray]], np.ndarray],
     score_chunk: Callable,
 ) -> None:
-    """``out[b, rows] = score_chunk(h0[rows], consts[b][g])`` per chunk.
+    """``out[b, rows] = score_chunk(chunk_rows(rows), consts[b][g])``.
 
-    ``h0`` is a term's rows in group order, group ``g`` starting at row
-    ``starts[g]``; ``consts[b][g]`` is what the scorer precomputed for
-    shape ``b`` and group ``g`` (the float64 first-layer constant, or
-    stage 1's thresholds).  The chunks are the rows between consecutive
-    cuts, and the cuts are the multiples of ``_CHUNK_ROWS`` and the
-    group starts, so every chunk lies in one group.  The ranges of
-    :func:`~repro.inference.partition.map_rows` start on multiples of
-    ``_CHUNK_ROWS``, so a range adds no cut of its own: a row falls in
-    the same chunk at every scoring width.  Each range owns one scratch
-    buffer per layer width (two rows at least, for the one-row pad) and
-    scores its chunks for every shape while they are cache-resident.
+    A term's ``n`` rows are in group order, group ``g`` starting at row
+    ``starts[g]``; ``chunk_rows(c, e, bufs)`` returns rows ``c`` to
+    ``e`` of the term once per chunk, for every shape of the pass (the
+    float32 twin's slice, or float64 rows of ``A`` computed into one of
+    the range's buffers), and ``consts[b][g]`` is what the scorer
+    precomputed for shape ``b`` and group ``g`` (the float64
+    first-layer constant, or stage 1's thresholds).  The chunks are the
+    rows between consecutive cuts, and the cuts are the multiples of
+    ``_CHUNK_ROWS`` and the group starts, so every chunk lies in one
+    group.  The ranges of :func:`~repro.inference.partition.map_rows`
+    start on multiples of ``_CHUNK_ROWS``, so a range adds no cut of its
+    own: a row falls in the same chunk at every scoring width.  Each
+    range owns one scratch buffer per entry of ``widths`` (two rows at
+    least, for the one-row pad) and scores its chunks for every shape
+    while they are cache-resident.
     """
 
     def score_rows(lo: int, hi: int) -> None:
@@ -449,11 +464,11 @@ def _score_chunks(
         groups = np.searchsorted(starts, cuts, side="right") - 1
         ends = [*cuts[1:].tolist(), hi]
         for c, e, g in zip(cuts.tolist(), ends, groups.tolist()):
-            chunk = h0[c:e]
+            chunk = chunk_rows(c, e, bufs)
             for b, per_group in enumerate(consts):
                 score_chunk(chunk, per_group[g], out[b, c:e], bufs)
 
-    map_rows(len(h0), _CHUNK_ROWS, score_rows)
+    map_rows(n, _CHUNK_ROWS, score_rows)
 
 
 @dataclass
@@ -498,10 +513,10 @@ class _FoldedMLP:
     def is_current(self) -> bool:
         """Whether the folded snapshot still matches the live model.
 
-        The first layer and scaler stats are copied at fold time (they are
-        baked into cached ``A`` and ``T`` terms); in-place model mutation —
-        pruning, further fine-tuning — must invalidate the fold.  Cheap:
-        the first layer is ~n_features x width floats.
+        The first layer and scaler stats are copied at fold time (they
+        are baked into the cached twins and ``T`` terms); in-place model
+        mutation — pruning, further fine-tuning — must invalidate the
+        fold.  Cheap: the first layer is ~n_features x width floats.
         """
         layers = self._fit.model.layers
         scaler = self._fit.x_scaler
@@ -539,9 +554,28 @@ class _FoldedMLP:
         z = (cols - self._mean_c[columns]) / self._scale_c[columns]
         return z @ self._w1_cfg[columns]
 
-    def prescale(self, cols: np.ndarray, columns=slice(None)) -> np.ndarray:
-        """``A``: :meth:`split_term` plus the first layer's bias."""
-        return self.split_term(cols, columns) + self._b1
+    def a_rows(
+        self, term: "_Term", rows, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Rows ``rows`` (a slice or indices) of ``term``'s float64 ``A``.
+
+        The term's config columns at those rows, standardized, through
+        the first layer, plus its bias: a whole-set product's operations,
+        and its bits, since a row's product does not depend on how many
+        rows share the call, except that BLAS multiplies a one-row block
+        with its matrix-vector routine, so one row goes through as two.
+        ``out``, a C-contiguous buffer of the result's shape, receives
+        the rows of a longer block; callers read the return value.
+        """
+        cols = term.columns
+        z = (term.features(rows) - self._mean_c[cols]) / self._scale_c[cols]
+        w = self._w1_cfg[cols]
+        if len(z) == 1:
+            a = np.matmul(np.repeat(z, 2, axis=0), w)[:1]
+        else:
+            a = np.matmul(z, w, out=out)
+        a += self._b1
+        return a
 
     def _shape_term(self, shape_vec: np.ndarray) -> np.ndarray:
         z = (shape_vec - self._mean_s) / self._scale_s
@@ -593,35 +627,45 @@ class _FoldedMLP:
         self._activate(last.activation, out_row)
 
     def predict_batch(
-        self,
-        h0: np.ndarray,
-        starts: np.ndarray,
-        consts: Sequence[np.ndarray],
+        self, term: "_Term", consts: Sequence[np.ndarray]
     ) -> np.ndarray:
-        """(n_shapes, n_rows) outputs, one pass over a term's ``h0``.
+        """(n_shapes, n_rows) outputs, one pass over ``term``'s rows.
 
         ``consts[b]`` holds shape ``b``'s first-layer constants, one row
-        per group.  Each chunk of the term is evaluated for every shape
-        while it is cache-resident, so the batch pays the memory traffic
-        of a single query.  Row ranges run in parallel.
+        per group.  Each chunk's rows of ``A`` are computed once and
+        evaluated for every shape while they are cache-resident, so the
+        batch pays the memory traffic of a single query.  Row ranges run
+        in parallel.
         """
-        out = np.empty((len(consts), len(h0)))
-        _score_chunks(h0, starts, consts, out, self.widths, self._eval_chunk)
+        out = np.empty((len(consts), len(term)))
+        # The chunk's rows of ``A`` take one buffer after the layers'
+        # (``_eval_chunk`` reads one per layer width, from the first).
+        _score_chunks(
+            len(term), term.starts, consts, out,
+            [*self.widths, self.widths[0]],
+            lambda c, e, bufs: self.a_rows(term, slice(c, e), bufs[-1][:e-c]),
+            self._eval_chunk,
+        )
         return out
 
-    def predict_rows(self, h0: np.ndarray, consts: np.ndarray) -> np.ndarray:
-        """Outputs for gathered rows, row ``i`` from ``h0[i] + consts[i]``.
+    def predict_rows(
+        self, term: "_Term", rows: np.ndarray, consts: np.ndarray
+    ) -> np.ndarray:
+        """Outputs for ``term``'s rows ``rows``, row ``i`` from
+        ``A[rows[i]] + consts[i]``.
 
-        Serial: stage 2's shortlists are a few hundred rows.  A row's
-        score does not depend on which rows share its chunk, so it
-        equals the row's score in a full pass.
+        Serial: stage 2's shortlists are a few hundred rows, whose ``A``
+        is computed in one gather.  A row's score does not depend on
+        which rows share its product or chunk, so it equals the row's
+        score in a full pass.
         """
-        out = np.empty(len(h0))
-        rows = max(2, min(len(h0), _CHUNK_ROWS))
-        bufs = [np.empty((rows, w)) for w in self.widths]
-        for c in range(0, len(h0), _CHUNK_ROWS):
+        a = self.a_rows(term, rows)
+        out = np.empty(len(a))
+        n = max(2, min(len(a), _CHUNK_ROWS))
+        bufs = [np.empty((n, w)) for w in self.widths]
+        for c in range(0, len(a), _CHUNK_ROWS):
             e = c + _CHUNK_ROWS
-            self._eval_chunk(h0[c:e], consts[c:e], out[c:e], bufs)
+            self._eval_chunk(a[c:e], consts[c:e], out[c:e], bufs)
         return out
 
 
@@ -769,8 +813,8 @@ class _Cascade:
         thresholds = [self._thresholds(c1) for c1 in consts]
         out = np.empty((len(consts), len(h0_lo)), dtype=np.float32)
         _score_chunks(
-            h0_lo, starts, thresholds, out, self._folded.widths,
-            self._score_chunk,
+            len(h0_lo), starts, thresholds, out, self._folded.widths,
+            lambda c, e, bufs: h0_lo[c:e], self._score_chunk,
         )
         return out
 
@@ -779,20 +823,37 @@ class _Cascade:
 class _Term:
     """One first-layer term, shared by every candidate set of one base.
 
-    ``h0`` is ``A``: the base's shared config columns standardized and
-    folded through the first layer with its bias, one row per candidate
-    in group order (group ``g`` is rows ``starts[g]`` up to the next
+    ``A`` is the base's shared config columns standardized and folded
+    through the first layer with its bias, one row per candidate in
+    group order (group ``g`` is rows ``starts[g]`` up to the next
     start).  ``order[r]`` is row ``r``'s candidate index; None when the
-    rows are in candidate order.
+    rows are in candidate order.  The term holds ``A`` only as ``lo``,
+    its float32 twin; a float64 pass computes the rows of ``A`` it reads
+    from the record (:meth:`_FoldedMLP.a_rows`).
     """
 
-    h0: np.ndarray
     order: np.ndarray | None
     starts: np.ndarray
-    #: float32 twin of ``h0`` that stage 1 streams over (half the memory
-    #: traffic of the full-precision term), adopted with ``h0`` or built
-    #: on first use.
+    #: Where ``A``'s rows are read: any set's record of the base (each
+    #: holds the base's shared columns) ...
+    record: object
+    #: ... at these config-feature columns (``slice(None)``, all, for a
+    #: one-group term).
+    columns: slice | list[int]
+    #: ``A`` in float32, which stage 1 streams over (~21 MB for a GEMM
+    #: set), adopted or built once when the term is attached.
     lo: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.lo)
+
+    def features(self, rows) -> np.ndarray:
+        """The log features ``A`` reads at its rows ``rows`` (a slice or
+        indices): a slice of a one-group record's matrix, else a gather
+        of the shared columns through ``order``."""
+        if self.order is None:
+            return self.record.features()[rows]
+        return self.record.features(self.order[rows], self.columns)
 
     def to_candidates(self, scores: np.ndarray) -> np.ndarray:
         """Scores over the term's rows (last axis), in candidate order."""
@@ -877,7 +938,7 @@ class ExhaustiveSearch:
         if self._folded.is_current():
             return
         self._folded = _FoldedMLP(self._fit, self._spec.n_config_features)
-        self._adopted.clear()  # prescaled against the stale fold
+        self._adopted.clear()  # twins built by the stale fold
         self._cascade = None  # collapsed from the stale layers
         self._cascade_calib = None
         self._terms.clear()
@@ -908,17 +969,22 @@ class ExhaustiveSearch:
         return cs
 
     def _attach_term(self, cs: _CandidateSet) -> None:
-        """Give a set its base's term (adopted if it fits, else prescaled
-        once) and its own ``T``."""
+        """Give a set its base's term (its twin adopted if it fits, else
+        built once) and its own ``T``."""
         tkey, order, starts, split = cs.groups
         term = self._terms.get(tkey)
         if term is None:
-            h0, lo = self._adopted.get(tkey, (None, None))
-            if h0 is None or h0.shape != (
-                len(cs.configs), self._folded.widths[0]
-            ):
-                h0, lo = self._prescale_term(cs), None
-            term = _Term(h0, order, starts, lo)
+            columns = slice(None) if order is None else [
+                j for j in range(self._spec.n_config_features)
+                if j not in split
+            ]
+            term = _Term(order, starts, cs.record, columns)
+            lo = self._adopted.get(tkey)
+            shape = (len(cs.configs), self._folded.widths[0])
+            term.lo = (
+                lo if lo is not None and lo.shape == shape
+                else self._twin(term, shape)
+            )
             self._terms[tkey] = term
         cs.term = term
         if split:
@@ -927,21 +993,19 @@ class ExhaustiveSearch:
             first = cs.record.features(order[starts], split)
             cs.split = self._folded.split_term(first, list(split))
 
-    def _prescale_term(self, cs: _CandidateSet) -> np.ndarray:
-        """``A`` for a set's base.
+    def _twin(self, term: _Term, shape: tuple[int, int]) -> np.ndarray:
+        """``term``'s ``A`` in float32, built a chunk at a time, so no
+        float64 ``A`` is ever whole.  Row ranges run in parallel."""
+        lo = np.empty(shape, dtype=np.float32)
 
-        Every set of a base holds the base's shared columns, so any one
-        of them yields the same ``A``.
-        """
-        _, order, _, split = cs.groups
-        if not split:
-            return self._folded.prescale(cs.record.features())
-        shared = [
-            j for j in range(self._spec.n_config_features) if j not in split
-        ]
-        return self._folded.prescale(
-            cs.record.features(order, shared), shared
-        )
+        def build(a: int, b: int) -> None:
+            buf = np.empty((max(2, min(b - a, _CHUNK_ROWS)), shape[1]))
+            for c in range(a, b, _CHUNK_ROWS):
+                e = min(c + _CHUNK_ROWS, b)
+                lo[c:e] = self._folded.a_rows(term, slice(c, e), buf[:e - c])
+
+        map_rows(shape[0], _CHUNK_ROWS, build)
+        return lo
 
     def _first_layer(self, cs: _CandidateSet, shape) -> np.ndarray:
         """One shape's float64 first-layer constants ``h + T[g]``, one
@@ -949,29 +1013,26 @@ class ExhaustiveSearch:
         h = self._folded._shape_term(self._spec.shape_vector(shape, log=True))
         return h[None] if cs.split is None else h + cs.split
 
-    def terms(self) -> dict[Hashable, tuple]:
-        """Every computed first-layer term as ``(A, float32 twin)``, by
-        term key; the twin is None until stage 1 first used it.
+    def terms(self) -> dict[Hashable, np.ndarray]:
+        """Every built first-layer term's float32 twin, by term key.
 
         The worker tier ships these through shared memory so a fresh
-        worker skips the prescale matmul and the cast; only terms this
-        search has actually touched (and whose fold is current) appear.
-        A CONV term goes once, under its base's key, whatever buckets
-        used it.
+        worker skips building them; only terms this search has actually
+        touched (and whose fold is current) appear.  A CONV term goes
+        once, under its base's key, whatever buckets used it.
         """
         self._refresh_fold()
-        return {key: (term.h0, term.lo) for key, term in self._terms.items()}
+        return {key: term.lo for key, term in self._terms.items()}
 
-    def adopt_terms(self, terms: Mapping[Hashable, tuple]) -> None:
-        """Accept externally computed ``(A, twin or None)`` terms by key.
+    def adopt_terms(self, terms: Mapping[Hashable, np.ndarray]) -> None:
+        """Accept externally built float32 twins by term key.
 
-        The arrays (typically read-only shared-memory views) are used
-        verbatim iff ``A``'s shape matches the term built for the key —
-        they were computed from the same fit bytes and candidate
-        columns, so the values are bit-identical to a local prescale and
-        cast.  A mismatch (space edit between export and attach)
-        silently falls back to prescaling locally; a missing twin is
-        cast on first use.
+        An array (typically a read-only shared-memory view) is used
+        verbatim iff its shape matches the term built for the key — it
+        was built from the same fit bytes and candidate columns, so its
+        values are bit-identical to a local build.  A mismatch (space
+        edit between export and attach) silently falls back to building
+        the twin locally.
         """
         self._adopted.update(terms)
 
@@ -1016,13 +1077,6 @@ class ExhaustiveSearch:
         self._cascade_calib = calib
         return self._cascade
 
-    def _lowres(self, cs: _CandidateSet) -> np.ndarray:
-        """The float32 twin of a set's term, adopted or cast once."""
-        term = cs.term
-        if term.lo is None:
-            term.lo = term.h0.astype(np.float32)
-        return term.lo
-
     def calibrate_cascade(
         self,
         dtypes: Sequence[DType],
@@ -1056,8 +1110,8 @@ class ExhaustiveSearch:
                 cs = self._candidate_set(shape)
                 c1 = [self._first_layer(cs, shape)]
                 term = cs.term
-                f = self._folded.predict_batch(term.h0, term.starts, c1)
-                p = cas.proxies(self._lowres(cs), term.starts, c1)
+                f = self._folded.predict_batch(term, c1)
+                p = cas.proxies(term.lo, term.starts, c1)
                 gap = float(np.max(np.abs(f - p.astype(np.float64))))
                 delta = max(delta, gap)
             margins[dtype.name] = delta * safety + 1e-9
@@ -1123,7 +1177,7 @@ class ExhaustiveSearch:
             by = np.argsort(survivors)
             rows, survivors = rows[by], survivors[by]
         groups = np.searchsorted(term.starts, rows, side="right") - 1
-        f = self._folded.predict_rows(term.h0[rows], c1[groups])
+        f = self._folded.predict_rows(term, rows, c1[groups])
         if np.max(np.abs(f - p64[rows])) > delta:
             stats.fallbacks += 1
             stats.stage2_ms += (time.perf_counter() - t1) * 1e3
@@ -1160,7 +1214,7 @@ class ExhaustiveSearch:
         cs = self._candidate_set(shape)
         term = cs.term
         pred = self._folded.predict_batch(
-            term.h0, term.starts, [self._first_layer(cs, shape)]
+            term, [self._first_layer(cs, shape)]
         )[0]
         return self._fit.y_scaler.inverse_transform(term.to_candidates(pred))
 
@@ -1202,7 +1256,7 @@ class ExhaustiveSearch:
             by_term.setdefault(cs.groups[0], []).append(i)
         for idxs in by_term.values():
             term = sets[idxs[0]].term
-            n = len(term.h0)
+            n = len(term)
             c1 = {i: self._first_layer(sets[i], shapes[i]) for i in idxs}
             pending = idxs
             # All shapes of a term share a dtype (it is part of the term
@@ -1212,14 +1266,13 @@ class ExhaustiveSearch:
             )
             if ready is not None:
                 cas, delta = ready
-                h0_lo = self._lowres(sets[idxs[0]])
                 per = max(1, (2 * _BATCH_BLOCK_ELEMS) // max(1, n))
                 pending = []
                 for lo in range(0, len(idxs), per):
                     sub = idxs[lo:lo + per]
                     t0 = time.perf_counter()
                     proxies = cas.proxies(
-                        h0_lo, term.starts, [c1[i] for i in sub]
+                        term.lo, term.starts, [c1[i] for i in sub]
                     )
                     self.cascade_stats.stage1_ms += (
                         time.perf_counter() - t0
@@ -1239,7 +1292,7 @@ class ExhaustiveSearch:
                 sub = pending[lo:lo + per_group]
                 rows = self._fit.y_scaler.inverse_transform(
                     term.to_candidates(self._folded.predict_batch(
-                        term.h0, term.starts, [c1[i] for i in sub]
+                        term, [c1[i] for i in sub]
                     ))
                 )
                 for row, i in zip(rows, sub):

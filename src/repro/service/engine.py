@@ -708,8 +708,8 @@ class Engine:
         Fits are serialized once per (device, op) — this loads any still
         lazy tuner, which is intended: worker boot is serve start.  The
         cached enumerations and every first-layer term the searches have
-        prescaled, with its float32 twin when stage 1 has cast one,
-        export as named arrays destined for one shared-memory segment
+        built (its float32 twin, the one array a term holds) export as
+        named arrays destined for one shared-memory segment
         (see :class:`~repro.core.soa.SharedArrayPack`); the metadata
         references arrays by name only, so it stays pipe-sized.  Each
         pair's fit bytes and terms are read together under its tuner
@@ -745,14 +745,11 @@ class Engine:
                     tuple(d.name for d in tuner.dtypes),
                 )
                 snapshot = tuner.searcher.terms()
-            for key, (h0, lo) in snapshot.items():
-                i = len(terms)
-                arrays[f"h0.{i}"] = np.ascontiguousarray(h0)
-                if lo is not None:
-                    arrays[f"lo.{i}"] = np.ascontiguousarray(lo)
+            for key, lo in snapshot.items():
+                name = f"lo.{len(terms)}"
+                arrays[name] = np.ascontiguousarray(lo)
                 terms.append({
-                    "device": pair[0], "op": pair[1], "key": key,
-                    "h0": f"h0.{i}", "lo": None if lo is None else f"lo.{i}",
+                    "device": pair[0], "op": pair[1], "key": key, "lo": name,
                 })
         return WorkerState(
             fits=fits, records=records, terms=terms, arrays=arrays,
@@ -1067,12 +1064,16 @@ class Engine:
         one.  When the live fit was calibrated and the engine runs the
         cascade, the new weights' margins are measured there too, so the
         first post-swap query already serves from the shortlist path, on
-        the ``A`` terms they were measured on.  Under the lock — the lock
-        every search takes — the live tuner only takes the new fit and
-        search, keeping its cascade counters: a reader either completes
-        against the old (fit, ``A``) pair or starts against the new one,
-        searches never wait on a recalibration, and the fit that served
-        before the swap is never written.
+        the first-layer terms they were measured on.  A term is its
+        float32 twin alone (~21 MB for a GEMM set, built chunk by chunk;
+        calibration computes the float64 rows it reads per chunk), so
+        while the live search keeps its term the swap adds only the new
+        twin.  Under the lock — the lock every search takes — the live
+        tuner only takes the new fit and search, keeping its cascade
+        counters: a reader either completes against the old (fit, term)
+        pair or starts against the new one, searches never wait on a
+        recalibration, and the fit that served before the swap is never
+        written.
         """
         key = (update.device, update.op)
         with self._registry_lock:
@@ -1280,15 +1281,15 @@ class Engine:
 class WorkerState:
     """One engine's serving state, split for cross-process shipping.
 
-    ``arrays`` (large: survivor columns, and each first-layer term ``A``
-    with its float32 twin, ~160k rows each) are destined for one
-    :class:`~repro.core.soa.SharedArrayPack` segment; the rest is small
+    ``arrays`` (large: survivor columns, and each first-layer term's
+    float32 twin, ~160k rows each: ~21 MB for a GEMM term) are destined
+    for one :class:`~repro.core.soa.SharedArrayPack` segment; the rest is small
     (tens of KB of npz bytes per fit) and is what a worker boots from:
     :class:`~repro.service.worker_pool.WorkerPool` ships the state
     itself, its arrays left in the segment, over the boot pipe.
     ``records`` and ``terms`` reference arrays by manifest name, never
-    by value: a term is ``{"device", "op", "key", "h0", "lo"}``, with
-    ``lo`` None when stage 1 had not cast its twin yet.
+    by value: a term is ``{"device", "op", "key", "lo"}``, ``lo``
+    naming its twin.
     ``cascade_enabled``/``cascade_keep`` carry the parent engine's
     cascade policy to every worker.
     """
@@ -1308,7 +1309,7 @@ class WorkerEngine:
     export and ``views`` of its arrays (zero-copy shared-memory views in
     a worker process): it seeds the enumeration cache, restores each
     (device, op) tuner from its fit bytes, adopts the parent's
-    first-layer terms with their float32 twins by term key (CONV's by
+    first-layer terms (float32 twins) by term key (CONV's by
     its base key, for every bucket it derives from the GEMM
     enumeration), and answers batched searches.
     It keeps **no caches of its own** — the parent's LRU/profile levels
@@ -1350,10 +1351,9 @@ class WorkerEngine:
             tuner = self._tuners.get((item["device"], item["op"]))
             if tuner is None:
                 continue
-            lo = item["lo"]
-            tuner.searcher.adopt_terms({tuple(item["key"]): (
-                views[item["h0"]], None if lo is None else views[lo],
-            )})
+            tuner.searcher.adopt_terms(
+                {tuple(item["key"]): views[item["lo"]]}
+            )
             self.adopted_terms += 1
 
     def _build_tuner(
@@ -1392,8 +1392,8 @@ class WorkerEngine:
         Each pair's tuner is rebuilt from the new fit bytes with a fresh
         search, as the parent's swap builds one (its adopted terms were
         folded through the old weights, so re-adopting them would tear
-        the (fit, ``A``) pair — the worker re-prescales lazily from the
-        shared candidate columns instead).  The worker is
+        the (fit, term) pair — the worker rebuilds each twin lazily from
+        the shared candidate columns instead).  The worker is
         single-threaded between RPCs, so the whole swap is atomic from
         the parent's point of view.  Returns the adopted version per
         pair.

@@ -19,8 +19,8 @@ loop.  Three pieces, deliberately engine-agnostic so both front doors
   anchor pins the loss surface near the offline optimum, so a burst of
   narrow traffic cannot catastrophically forget the rest of the shape
   space.  Scalers are frozen — the feature/target transforms a fit
-  shipped with are part of its identity (and of every prescaled ``H0``
-  term derived from it), so fine-tuning only ever moves weights.
+  shipped with are part of its identity (and of every first-layer term
+  derived from it), so fine-tuning only ever moves weights.
 
 * :class:`OnlineLearner` — per-(device, op) orchestration: cadence
   (every ``update_every`` new pairs, or ``interval_s`` wall-clock for

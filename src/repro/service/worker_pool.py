@@ -9,9 +9,10 @@ parent engine's exported state — and a consistent-hash ring that maps
 request cache keys onto workers.
 
 The expensive read-only state is **shared, not copied**: survivor
-candidate columns and the first-layer terms (each ``A`` with its float32
-twin) live in exactly one :class:`~repro.core.soa.SharedArrayPack`
-segment created by the pool; workers attach and rebuild numpy views over
+candidate columns and the first-layer terms (each one float32 twin,
+~21 MB for a GEMM set) live in exactly one
+:class:`~repro.core.soa.SharedArrayPack` segment created by the pool;
+workers attach and rebuild numpy views over
 the same physical pages (zero re-enumeration, zero per-worker copy).
 Only the small artifacts — the exported
 :class:`~repro.service.engine.WorkerState` without its arrays (fit
@@ -571,7 +572,7 @@ class WorkerPool:
         The parent stays authoritative: the boot payload is replaced
         *first*, in one assignment, so a worker that crashes
         mid-broadcast respawns straight onto the new fits and never
-        re-adopts a term (``A`` or its twin) folded through the old
+        re-adopts a term (a float32 twin) folded through the old
         weights — the payload drops every term of the updated pairs.
         Then each live worker gets an ``adopt`` RPC; a worker that dies
         here is already marked dead by its manager and simply misses the

@@ -17,6 +17,10 @@ production path calls them.
 * :func:`predictions_reference` re-standardizes the full design matrix
   and runs the plain forward pass
   (vs :meth:`repro.inference.search.ExhaustiveSearch.predictions`);
+* :func:`first_layer_whole_set` computes a set's float64 first-layer
+  term ``A`` in one product over all its rows (vs the twin, the
+  per-chunk rows and the gathers of
+  :meth:`repro.inference.search._FoldedMLP.a_rows`);
 * :func:`generate_dataset_loop` draws one shape, one config and one
   benchmark per trip, in the RNG order of the pre-batching datasets
   (vs :func:`repro.sampling.dataset.generate_dataset`);
@@ -136,6 +140,28 @@ def predictions_reference(search: ExhaustiveSearch, shape) -> np.ndarray:
     fit = search._fit
     pred = fit.model.predict(fit.x_scaler.transform(design))
     return fit.y_scaler.inverse_transform(pred)
+
+
+def first_layer_whole_set(search: ExhaustiveSearch, shape) -> np.ndarray:
+    """The float64 ``A`` of ``shape``'s set in one whole-set product.
+
+    The base's shared config columns (every column for a one-group op)
+    at all rows in group order, standardized, through the first layer,
+    plus its bias: the term the search cached before it kept only the
+    float32 twin.
+    """
+    cs = search._candidate_set(shape)
+    _, order, _, split = cs.groups
+    folded = search._folded
+    if not split:
+        cols, x = slice(None), cs.record.features()
+    else:
+        cols = [
+            j for j in range(search.spec.n_config_features) if j not in split
+        ]
+        x = cs.record.features(order, cols)
+    z = (x - folded._mean_c[cols]) / folded._scale_c[cols]
+    return z @ folded._w1_cfg[cols] + folded._b1
 
 
 def generate_dataset_loop(

@@ -308,11 +308,12 @@ def test_worker_adopts_the_conv_term_by_base_key(small_conv_tuner):
     engine.close()
     assert [rec["op"] for rec in state.records] == ["gemm"]
     base_key = ("conv", TESLA_P100.name, "FP32")
-    ((h0, h0_lo),) = [
-        (state.arrays[item["h0"]], state.arrays[item["lo"]])
+    (twin,) = [
+        state.arrays[item["lo"]]
         for item in state.terms
         if item["op"] == "conv" and tuple(item["key"]) == base_key
     ]
+    assert twin.dtype == np.float32
     # Two buckets searched, one term shipped.
     assert [i["op"] for i in state.terms] == ["conv"]
 
@@ -326,5 +327,5 @@ def test_worker_adopts_the_conv_term_by_base_key(small_conv_tuner):
     assert payload[2] == want.measured_tflops
     search_ = worker._tuners[(TESLA_P100.name, "conv")].searcher
     term = search_._sets[conv_search.conv_bucket_key(TESLA_P100, shape)].term
-    assert term.h0 is h0 and term.lo is h0_lo
+    assert term.lo is twin  # the adopted float32 view, used verbatim
     assert search_.cascade_stats.cascade_queries == 1

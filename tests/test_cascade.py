@@ -463,8 +463,8 @@ def test_hot_swap_calibrates_outside_the_tuner_lock(monkeypatch):
     """A hot-swap measures the new weights' margins before it takes the
     tuner lock, so no search waits on a recalibration.  The swap attaches
     exactly the margins an in-place recalibration measures, and the
-    prescaled terms they were measured on: the first post-swap search
-    cascades without prescaling again."""
+    float32 twins they were measured on: the first post-swap search
+    cascades without building a twin or a whole-set first-layer pass."""
     engine = Engine(
         online=OnlineConfig(update_every=8, epochs=2, anchor_size=64,
                             batch_size=32),
@@ -492,18 +492,30 @@ def test_hot_swap_calibrates_outside_the_tuner_lock(monkeypatch):
     fit = tuner.fit_result
     assert fit.cascade.weights_digest == fit_weights_digest(fit)
 
-    prescaled = []
-    prescale = search_module._FoldedMLP.prescale
+    twins = []
+    twin = search_module.ExhaustiveSearch._twin
 
-    def spy_prescale(self, cfg_matrix):
-        prescaled.append(len(cfg_matrix))
-        return prescale(self, cfg_matrix)
+    def spy_twin(self, term, shape):
+        twins.append(shape)
+        return twin(self, term, shape)
 
-    monkeypatch.setattr(search_module._FoldedMLP, "prescale", spy_prescale)
+    computed = []
+    a_rows = search_module._FoldedMLP.a_rows
+
+    def spy_a_rows(self, term, rows, out=None):
+        a = a_rows(self, term, rows, out)
+        computed.append(len(a))
+        return a
+
+    monkeypatch.setattr(search_module.ExhaustiveSearch, "_twin", spy_twin)
+    monkeypatch.setattr(search_module._FoldedMLP, "a_rows", spy_a_rows)
     before = engine.stats()
     engine.query(KernelRequest("gemm", _shape(500), k=10, reps=2))
     after = engine.stats()
-    assert prescaled == []
+    assert twins == []
+    # Stage 2's one shortlist gather, never the whole set.
+    n = len(tuner.searcher._candidate_set(_shape(500)).configs)
+    assert len(computed) == 1 and computed[0] < n
     assert after.cascade_searches == before.cascade_searches + 1
     assert after.cascade_fallbacks == before.cascade_fallbacks
     margins = dict(fit.cascade.margins)
@@ -673,9 +685,9 @@ def test_export_reads_fit_and_terms_under_the_pair_lock(
 
 def test_broadcast_drops_cascade_twins_for_updated_pairs():
     """After a hot-swap broadcast, the boot payload keeps no term of the
-    updated pair — neither ``A`` nor the float32 twin cast from the old
-    weights — so a respawned worker re-arms from the new fit bytes and
-    prescales and recasts lazily."""
+    updated pair — no float32 twin built from the old weights — so a
+    respawned worker re-arms from the new fit bytes and rebuilds its
+    twins lazily."""
     from repro.service.worker_pool import WorkerPool
 
     engine = Engine(

@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -382,7 +383,7 @@ class TestConvBuckets:
 
     def test_search_groups_bucket_shapes_together(self, small_conv_tuner):
         """ExhaustiveSearch keys CONV candidate sets by bucket, so shapes
-        in one bucket share the candidate set (and its h0 fold)."""
+        in one bucket share the candidate set (and its first-layer term)."""
         search = ExhaustiveSearch(
             small_conv_tuner.fit_result, TESLA_P100, "conv"
         )
@@ -651,7 +652,7 @@ def _scoring_inputs(tuner, shapes):
     term = sets[0].term
     assert all(cs.term is term for cs in sets)
     c1s = [search._first_layer(cs, s) for cs, s in zip(sets, shapes)]
-    return search, term, search._lowres(sets[0]), c1s
+    return search, term, term.lo, c1s
 
 
 def _tops(preds):
@@ -667,18 +668,19 @@ def test_partitioned_scoring_is_bit_identical(op, request, force_width):
     search, term, h0_lo, c1s = _scoring_inputs(tuner, _OP_SHAPES[op])
     folded = search._folded
     cas = _Cascade(folded, {})
-    n = len(term.h0)
+    n = len(term)
     sizes = {1, 7, _CHUNK_ROWS - 1, _CHUNK_ROWS + 1, 3 * _CHUNK_ROWS + 5, n}
     for rows in sorted(r for r in sizes if r <= n):
         starts = term.starts[term.starts < rows]
+        part = replace(term, lo=h0_lo[:rows], starts=starts)
         results = {}
         for width in (1, 2, 3):
             force_width(width)
             results[width] = (
                 cas.proxies(h0_lo[:rows], starts, c1s),
                 cas.proxies(h0_lo[:rows], starts, c1s[:1]),
-                folded.predict_batch(term.h0[:rows], starts, c1s),
-                folded.predict_batch(term.h0[:rows], starts, c1s[:1]),
+                folded.predict_batch(part, c1s),
+                folded.predict_batch(part, c1s[:1]),
             )
         for width in (2, 3):
             for serial, parted in zip(results[1], results[width]):
@@ -736,7 +738,7 @@ def test_proxy_gap_within_margin_on_whole_sets(op, request, force_width):
         scores = {}
         for width in (1, 2):
             force_width(width)
-            full = search._folded.predict_batch(term.h0, term.starts, [c1])
+            full = search._folded.predict_batch(term, [c1])
             proxy = cas.proxies(h0_lo, term.starts, [c1]).astype(np.float64)
             assert np.max(np.abs(full - proxy)) <= delta, (op, shape, width)
             scores[width] = full[0]
@@ -886,7 +888,7 @@ def test_forked_child_builds_its_own_pool(force_width):
 def test_gathered_predict_equals_full_predict(op, request):
     tuner = request.getfixturevalue(_OP_TUNERS[op])
     search, term, _, (c1, *_) = _scoring_inputs(tuner, _OP_SHAPES[op])
-    full = search._folded.predict_batch(term.h0, term.starts, [c1])[0]
+    full = search._folded.predict_batch(term, [c1])[0]
     rng = np.random.default_rng(5)
     n = len(full)
     for size in (1, 2, 3, 31, 300, _CHUNK_ROWS + 1):
@@ -895,9 +897,7 @@ def test_gathered_predict_equals_full_predict(op, request):
                 continue
             rows = np.sort(rng.choice(n, size, replace=False))
             groups = np.searchsorted(term.starts, rows, side="right") - 1
-            gathered = search._folded.predict_rows(
-                term.h0[rows], c1[groups]
-            )
+            gathered = search._folded.predict_rows(term, rows, c1[groups])
             assert np.array_equal(gathered, full[rows]), (op, size)
 
 
@@ -931,7 +931,7 @@ def test_conv_buckets_share_one_term(small_conv_tuner):
     base_key = ("conv", TESLA_P100.name, "FP32")
     assert a.groups[0] == b.groups[0] == base_key
     assert list(search.terms()) == [base_key]
-    assert search.terms()[base_key][0] is a.term.h0
+    assert search.terms()[base_key] is a.term.lo
 
 
 def test_grouped_scoring_is_bit_identical_across_widths(
@@ -950,7 +950,7 @@ def test_grouped_scoring_is_bit_identical_across_widths(
         force_width(width)
         results[width] = (
             cas.proxies(h0_lo, term.starts, c1s),
-            search._folded.predict_batch(term.h0, term.starts, c1s),
+            search._folded.predict_batch(term, c1s),
         )
     for serial, parted in zip(results[1], results[2]):
         assert np.array_equal(serial, parted)

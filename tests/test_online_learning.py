@@ -9,7 +9,7 @@ Three contracts from the design get pinned here:
 * **atomic hot-swaps** — a search holds the same per-(device, op) lock
   the swap takes, and the swap re-folds the exhaustive searcher inside
   the critical section, so no reader can ever pair new weights with a
-  stale prescaled ``H0`` (nor vice versa), even under thread stress;
+  stale first-layer term (nor vice versa), even under thread stress;
 * **exactly-once finalization** — ``close()`` flushes the buffer into a
   final fine-tune and persists the latest version once, no matter how
   many times it runs.

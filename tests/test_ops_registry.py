@@ -186,7 +186,7 @@ class TestPreScaledPath:
             tiny_fit, TESLA_P100, "gemm", space=TINY_GEMM_SPACE
         )
         shape = SHAPES[0]
-        search.top_k(shape, k=5)  # warm the fold + H0
+        search.top_k(shape, k=5)  # warm the fold + term
         first = tiny_fit.model.layers[0]
         # Weight-only mutation, like magnitude pruning (biases untouched).
         first.w *= 0.5

@@ -3,7 +3,7 @@
 The pool's contract has three legs and each gets hammered here:
 
 * **zero-copy warm boot** — workers rebuild tuners from fit bytes and
-  attach candidate columns / prescaled ``H0`` terms as views over one
+  attach candidate columns / float32 first-layer terms as views over one
   shared segment (the boot handshake reports the accounting);
 * **determinism across processes** — a worker's answer for any request
   is config- and measurement-identical to the in-process search, even
@@ -47,7 +47,7 @@ def pool_engine(trained_gemm_tuner):
         dtypes=trained_gemm_tuner.dtypes,
     ))
     # One warm query so the export has hot state to share: enumerated
-    # candidate records and a prescaled H0 snapshot.
+    # candidate records and a first-layer term snapshot.
     engine.query(KernelRequest("gemm", _shape(64, 64, 64), k=K, reps=REPS))
     yield engine
     engine.close()
