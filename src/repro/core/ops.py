@@ -105,9 +105,9 @@ class OpSpec:
     #: starts, columns)`` — the base's key, the candidate index of each
     #: row in group order, each group's first position in that order,
     #: and the config-feature columns that vary by group.  The search
-    #: then keeps one first-layer term per base (a float32 twin, built
-    #: and recomputed in float64 per chunk from the record's other
-    #: columns in group order), and per set only the varying
+    #: then keeps one first-layer term per base (its rows computed per
+    #: chunk from the record's other columns in group order), and per
+    #: set only the varying
     #: columns of each group's first row (CONV: one term per (device,
     #: dtype), six split columns of 25 rows per bucket).  Ops without
     #: one are the one-group case.

@@ -262,7 +262,11 @@ def _run_serve(args) -> int:
     import asyncio
 
     from repro.service.async_engine import AsyncEngine, BackpressureError
-    from repro.service.engine import DeadlineExceeded, KernelRequest
+    from repro.service.engine import (
+        DeadlineExceeded,
+        EngineError,
+        KernelRequest,
+    )
     from repro.service.slo import (
         ServingSLO,
         SLOConfigError,
@@ -347,8 +351,23 @@ def _run_serve(args) -> int:
             **engine_kwargs,
         )
 
+    def arm_cascades(engine: AsyncEngine) -> None:
+        # A stored calibration of another stage-1 form (or none) would
+        # leave every cold query exhaustive until a warmup: recalibrate
+        # and re-save it now, before any worker boots from the fits.
+        inner = engine.engine
+        for device_name in inner.devices():
+            for op_name in inner.ops(device_name):
+                try:
+                    inner.ensure_cascade(device_name, op_name)
+                except EngineError:
+                    pass  # unreadable: quarantined, its requests fail
+
     async def main() -> None:
         async with front_door() as engine:
+            await asyncio.get_running_loop().run_in_executor(
+                None, arm_cascades, engine
+            )
             if args.workers:
                 # Boot the pool before timing starts, like a deployment.
                 await asyncio.get_running_loop().run_in_executor(

@@ -43,10 +43,10 @@ sort by tile) and each group's first position there (``starts``), and
 :func:`conv_candidate_groups` hands both to the search
 (``OpSpec.candidate_groups``): the eight shared columns' log features,
 gathered in group order (:meth:`ConvBucket.features`), go through the
-first layer into one term per (device, dtype, fit) (its float32 twin is
-built once; the float64 passes gather and recompute their rows chunk by
-chunk), and a bucket adds only its six split columns through the first
-layer, one row per tile group: its table.
+first layer into one term per (device, dtype, fit) (every pass gathers
+and computes its rows chunk by chunk), and a bucket adds only its six
+split columns through the first layer, one row per tile group: its
+table.
 So no search derives a bucket's matrix.
 """
 
@@ -125,8 +125,9 @@ class _ConvBase:
 
     #: The eight GEMM-derived CONV columns (``_FROM_GEMM``).
     params: dict[str, np.ndarray]
-    #: Their log-feature columns.
-    logs: dict[str, np.ndarray]
+    #: Their log features, one row per candidate, columns in feature
+    #: matrix order (``_SHARED``): a first-layer term reads whole rows.
+    logs: np.ndarray
     #: The distinct (ml, ms) block/thread tiles, one row each.
     tiles: np.ndarray
     #: Each candidate's row in ``tiles``: its tile group.
@@ -214,9 +215,7 @@ def _build_base(device: DeviceSpec, dtype: DType) -> _ConvBase:
     sizes = np.bincount(tile_of, minlength=len(packed))
     return _ConvBase(
         params=params,
-        logs={
-            c: config_matrix_from_params(params, (c,)).ravel() for c in params
-        },
+        logs=config_matrix_from_params(params, _SHARED),
         tiles=np.column_stack(divmod(packed, 1 << 32)),
         tile_of=tile_of,
         order=np.argsort(tile_of, kind="stable"),
@@ -273,6 +272,10 @@ _NAMES = ConvConfig.param_names()
 
 #: The split columns' positions in the config-feature matrix.
 _SPLIT_COLUMNS = tuple(_NAMES.index(c) for c in _SPLIT)
+
+#: The base's columns in feature matrix order, and their positions.
+_SHARED = tuple(c for c in _NAMES if c not in _SPLIT)
+_SHARED_COLUMNS = tuple(_NAMES.index(c) for c in _SHARED)
 
 
 def conv_candidate_groups(
@@ -342,9 +345,14 @@ class ConvBucket:
 
         Both default to all.  Every value is a power of two, whose log2
         is exact, so these are the bits the op's
-        ``config_matrix_from_params`` gives for the same configs.
+        ``config_matrix_from_params`` gives for the same configs.  The
+        base's columns alone (a first-layer term's read, once per chunk
+        of every scoring pass) are one gather of whole rows.
         """
         base = self.base
+        shared = columns is not None and tuple(columns) == _SHARED_COLUMNS
+        if shared and rows is not None:
+            return base.logs.take(rows, axis=0)
         at = slice(None) if rows is None else rows
         names = _NAMES if columns is None else [_NAMES[j] for j in columns]
         tiles = base.tile_of[at]
@@ -353,7 +361,7 @@ class ConvBucket:
             if name in _SPLIT:
                 out[:, j] = self.split_logs[tiles, _SPLIT.index(name)]
             else:
-                out[:, j] = base.logs[name][at]
+                out[:, j] = base.logs[at, _SHARED.index(name)]
         return out
 
 

@@ -38,15 +38,19 @@ prescaled matrix, ``T`` is absent and the constant is ``h``.
 query shapes — of any set of one base — through each cache-resident
 chunk of ``A``.
 
-A term caches only ``A`` cast to float32, the twin stage 1 streams over
-(161,518 x 32: ~21 MB for a GEMM set), built chunk by chunk.  Every
-float64 pass computes the rows of ``A`` it reads where it reads them,
-from the record (:meth:`_FoldedMLP.a_rows`): the exhaustive pass
-once per chunk for every shape of the pass, stage 2 once per shortlist
-gather.  A BLAS product rounds a row the same whatever other rows share
-the call, except that it multiplies a one-row block with its
-matrix-vector routine, so a one-row block is computed as two; the rows
-are then the bits a whole-set product gives.
+A term caches no array of one row per candidate: it is where ``A``'s
+rows are read (a record, its columns, the group order), and every pass
+computes the rows of ``A`` it reads where it reads them.  The float64
+passes compute them from the record (:meth:`_FoldedMLP.a_rows`): the
+exhaustive pass once per chunk for every shape of the pass, stage 2
+once per shortlist gather.  Stage 1 computes them in float32, once per
+chunk for every shape of the pass, as the chunk's log features times
+``W1' = W1a / scale``: the standardization's shift and the bias go into
+each shape's constant instead (:class:`_Cascade`).  A BLAS product
+rounds a row the same whatever other rows share the call, except that
+it multiplies a one-row block with its matrix-vector routine, so a
+one-row block is computed as two; the rows are then the bits a
+whole-set product gives, in either precision.
 
 Every full pass over a term — stage 1 below, the exhaustive fallback,
 cascade calibration — walks one chunk grid: the multiples of
@@ -64,8 +68,8 @@ the sharded tier, a process under ``OPENBLAS_NUM_THREADS=1``, or a BLAS
 without a runtime thread control.
 
 Cold queries additionally run a **two-stage cascade**: stage 1 scores all
-candidates with the full model evaluated in float32 over a low-precision
-twin of ``A``, keeps the ``cascade_keep`` best plus every candidate within
+candidates with the full model evaluated in float32, keeps the
+``cascade_keep`` best plus every candidate within
 ``2*delta`` of that threshold, and stage 2 re-scores only that shortlist
 in full float64 precision.  Stage 1 makes one elementwise pass per layer:
 with ReLU hidden layers, ``relu(x + c) = max(x, -c) + c`` turns each
@@ -74,7 +78,7 @@ carries ``+c`` into the next layer, down to one constant added to the
 output (:class:`_Cascade`).  ``delta`` is a per-dtype margin calibrated
 offline (:meth:`ExhaustiveSearch.calibrate_cascade`, persisted with the
 fit) bounding ``|full - proxy|``; because the proxy is the same network
-at reduced precision, ``delta`` is rounding-sized (~1e-6 standardized
+at reduced precision, ``delta`` is rounding-sized (~2e-5 standardized
 units) rather than model-sized, and under that bound the shortlist
 provably contains the exhaustive top-k — the cascade is bit-identical to
 the exhaustive search.  That needs stage 2's scores of a gathered
@@ -439,8 +443,8 @@ def _score_chunks(
 
     A term's ``n`` rows are in group order, group ``g`` starting at row
     ``starts[g]``; ``chunk_rows(c, e, bufs)`` returns rows ``c`` to
-    ``e`` of the term once per chunk, for every shape of the pass (the
-    float32 twin's slice, or float64 rows of ``A`` computed into one of
+    ``e`` of the term once per chunk, for every shape of the pass (rows
+    of ``A`` in float64, or stage 1's float32 products, computed into
     the range's buffers), and ``consts[b][g]`` is what the scorer
     precomputed for shape ``b`` and group ``g`` (the float64
     first-layer constant, or stage 1's thresholds).  The chunks are the
@@ -514,7 +518,7 @@ class _FoldedMLP:
         """Whether the folded snapshot still matches the live model.
 
         The first layer and scaler stats are copied at fold time (they
-        are baked into the cached twins and ``T`` terms); in-place model
+        are baked into the cached ``T`` terms); in-place model
         mutation — pruning, further fine-tuning — must invalidate the
         fold.  Cheap: the first layer is ~n_features x width floats.
         """
@@ -576,6 +580,19 @@ class _FoldedMLP:
             a = np.matmul(z, w, out=out)
         a += self._b1
         return a
+
+    def stage1_layer(self, columns) -> tuple[np.ndarray, np.ndarray]:
+        """Stage 1's first layer over config columns ``columns``.
+
+        ``W1' = W1[cols] / scale[cols]`` in float32, which multiplies a
+        row's raw log features, and the float64 offset ``b1 -
+        (mean[cols] / scale[cols]) W1[cols]`` that the row's constant
+        absorbs: ``x W1' + offset`` is ``A``'s row in exact arithmetic.
+        """
+        w = self._w1_cfg[columns]
+        scale = self._scale_c[columns]
+        w1 = (w / scale[:, None]).astype(np.float32)
+        return w1, self._b1 - (self._mean_c[columns] / scale) @ w
 
     def _shape_term(self, shape_vec: np.ndarray) -> np.ndarray:
         z = (shape_vec - self._mean_s) / self._scale_s
@@ -694,28 +711,34 @@ class _Cascade:
     Every hidden layer is ReLU and the output layer is identity, so the
     identity ``relu(x + c) = max(x, -c) + c`` carries each layer's
     additive constant into the next layer instead of adding it to every
-    row.  Per query shape and group, the constants are computed once in
-    float64 from the weights the float32 copies were cast from::
+    row.  The first layer goes the same way: a row's ``A[r]`` is its raw
+    log features ``x`` times ``W1' = W1a / scale`` plus an offset common
+    to every row (:meth:`_FoldedMLP.stage1_layer`), so the offset joins
+    the shape's constant.  Per query shape and group, the constants are
+    computed once in float64 from the weights the float32 copies were
+    cast from::
 
-        c_1 = h + T[g] (the first-layer constant),
+        k_1 = h + T[g] + b1 - (mean / scale) W1a,
         c_{l+1} = c_l W_{l+1} + b_{l+1},   c_out = c_L w_out + b_out
 
-    and ``-c_l`` and ``c_out`` are cast to float32 once (one shape's
-    groups go through each product together, as the rows of one
-    matrix).  Each chunk of the float32 twin of ``A`` is then scored,
-    with its group's constants, as::
+    with ``c_1 = k_1``, and ``-c_l`` and ``c_out`` are cast to float32
+    once (one shape's groups go through each product together, as the
+    rows of one matrix).  Each chunk's features are then cast to float32
+    and multiplied by ``W1'`` once, for every shape of the pass, and
+    each shape scores the product with its group's constants as::
 
-        m_1 = max(A, -c_1),   m_{l+1} = max(m_l W_{l+1}, -c_{l+1}),
+        m_1 = max(x W1', -c_1),   m_{l+1} = max(m_l W_{l+1}, -c_{l+1}),
         out = m_L w_out + c_out
 
     where ``m_l + c_l`` is layer l's activation: one elementwise pass per
     layer where adding a constant and then clamping takes two, with the
     same products (the float64 hot path's structure, at half the memory
     traffic and roughly twice the sgemm throughput).  A group
-    thresholds exactly as a whole one-group term does.
+    thresholds exactly as a whole one-group term does, and the search
+    holds nothing per candidate for stage 1.
 
     The proxy is therefore the exhaustive scorer up to float32 rounding,
-    so the calibrated per-dtype margin ``delta`` is rounding-sized (~1e-6
+    so the calibrated per-dtype margin ``delta`` is rounding-sized (~2e-5
     standardized units), small against the ~0.01-unit spread of scores
     near the top-k frontier, which is what makes the widened shortlist
     barely wider than ``keep``.  Let ``delta >= max_i |f_i - p_i|``; for
@@ -763,20 +786,21 @@ class _Cascade:
         )
 
     def _thresholds(
-        self, c1: np.ndarray
+        self, k1: np.ndarray
     ) -> list[tuple[list[np.ndarray], np.float32]]:
         """Per group: float32 ``-c_l`` per hidden layer and ``c_out``.
 
-        ``c1`` is one shape's (n_groups, width) first-layer constants.
+        ``k1`` is one shape's (n_groups, width) stage-1 first-layer
+        constants.
         """
-        c = c1
+        c = k1
         negs = [(-c).astype(np.float32)]
         for w, b in self._rest_snapshot[:-1]:
             c = c @ w + b
             negs.append((-c).astype(np.float32))
         w, b = self._rest_snapshot[-1]
         outs = (c @ w[:, 0] + b[0]).astype(np.float32)
-        return [([neg[g] for neg in negs], outs[g]) for g in range(len(c1))]
+        return [([neg[g] for neg in negs], outs[g]) for g in range(len(k1))]
 
     def _score_chunk(
         self,
@@ -794,29 +818,59 @@ class _Cascade:
         out_row += c_out
 
     def proxies(
-        self,
-        h0_lo: np.ndarray,
-        starts: np.ndarray,
-        consts: Sequence[np.ndarray],
+        self, term: "_Term", consts: Sequence[np.ndarray]
     ) -> np.ndarray:
-        """(n_shapes, n_rows) float32 proxies, one pass over ``h0_lo``.
+        """(n_shapes, n_rows) float32 proxies, one pass over ``term``.
 
-        ``h0_lo`` is a term's float32 twin and ``consts[b]`` shape
-        ``b``'s (n_groups, width) float64 first-layer constants.  The
-        chunks are fixed by the term alone (:func:`_score_chunks`), and
-        each shape's rows get the same operations whatever else shares
-        the pass, so a proxy is bit-reproducible for a given term and
-        constant: the calibration-time and query-time proxies, and a
-        shape's proxies alone or in a batch, are the same numbers.  Row
-        ranges run in parallel.
+        ``consts[b]`` is shape ``b``'s (n_groups, width) float64
+        first-layer constants ``h + T[g]``, the float64 passes' ones.
+        Each chunk's first layer is computed once for every shape
+        (:meth:`stage1_rows`).  The chunks are fixed by the term alone
+        (:func:`_score_chunks`), and each shape's rows get the same
+        operations whatever else shares the pass, so a proxy is
+        bit-reproducible for a given term and constant: the
+        calibration-time and query-time proxies, and a shape's proxies
+        alone or in a batch, are the same numbers.  Row ranges run in
+        parallel.
         """
-        thresholds = [self._thresholds(c1) for c1 in consts]
-        out = np.empty((len(consts), len(h0_lo)), dtype=np.float32)
+        w1, offset = self._folded.stage1_layer(term.columns)
+        thresholds = [self._thresholds(c1 + offset) for c1 in consts]
+        out = np.empty((len(consts), len(term)), dtype=np.float32)
+        # The chunk's features and its first layer take one buffer each
+        # after the layers' (``_score_chunk`` reads them from the first).
         _score_chunks(
-            len(h0_lo), starts, thresholds, out, self._folded.widths,
-            lambda c, e, bufs: h0_lo[c:e], self._score_chunk,
+            len(term), term.starts, thresholds, out,
+            [*self._folded.widths, w1.shape[1], w1.shape[0]],
+            lambda c, e, bufs: self.stage1_rows(
+                term, slice(c, e), w1, bufs[-1][:e - c], bufs[-2][:e - c]
+            ),
+            self._score_chunk,
         )
         return out
+
+    @staticmethod
+    def stage1_rows(
+        term: "_Term",
+        rows,
+        w1: np.ndarray,
+        x: np.ndarray | None = None,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Stage 1's float32 ``x W1'`` at ``term``'s rows ``rows``.
+
+        The rows' log features cast to float32 (into ``x``, if given)
+        times ``W1'``: a whole-set float32 product's bits, a one-row
+        block going through as two as in :meth:`_FoldedMLP.a_rows`.
+        ``out`` receives the rows of a longer block.
+        """
+        feats = term.features(rows)
+        if x is None:
+            x = feats.astype(np.float32)
+        else:
+            np.copyto(x, feats)
+        if len(x) == 1:
+            return np.matmul(np.repeat(x, 2, axis=0), w1)[:1]
+        return np.matmul(x, w1, out=out)
 
 
 @dataclass
@@ -827,9 +881,10 @@ class _Term:
     through the first layer with its bias, one row per candidate in
     group order (group ``g`` is rows ``starts[g]`` up to the next
     start).  ``order[r]`` is row ``r``'s candidate index; None when the
-    rows are in candidate order.  The term holds ``A`` only as ``lo``,
-    its float32 twin; a float64 pass computes the rows of ``A`` it reads
-    from the record (:meth:`_FoldedMLP.a_rows`).
+    rows are in candidate order.  The term holds no array of ``A``:
+    every pass computes the rows it reads from the record
+    (:meth:`_FoldedMLP.a_rows` in float64, :meth:`_Cascade.stage1_rows`
+    for stage 1).
     """
 
     order: np.ndarray | None
@@ -840,12 +895,11 @@ class _Term:
     #: ... at these config-feature columns (``slice(None)``, all, for a
     #: one-group term).
     columns: slice | list[int]
-    #: ``A`` in float32, which stage 1 streams over (~21 MB for a GEMM
-    #: set), adopted or built once when the term is attached.
-    lo: np.ndarray | None = None
+    #: Rows (candidates) of the base.
+    n: int
 
     def __len__(self) -> int:
-        return len(self.lo)
+        return self.n
 
     def features(self, rows) -> np.ndarray:
         """The log features ``A`` reads at its rows ``rows`` (a slice or
@@ -910,7 +964,6 @@ class ExhaustiveSearch:
         self._space = space
         self._sets: dict[Hashable, _CandidateSet] = {}
         self._terms: dict[Hashable, _Term] = {}
-        self._adopted: dict[Hashable, tuple] = {}
         if not _FoldedMLP.supports(fit, len(self._spec.feature_names)):
             raise ValueError(
                 f"fit cannot be folded for op {self._spec.name!r}: the "
@@ -938,13 +991,11 @@ class ExhaustiveSearch:
         if self._folded.is_current():
             return
         self._folded = _FoldedMLP(self._fit, self._spec.n_config_features)
-        self._adopted.clear()  # twins built by the stale fold
         self._cascade = None  # collapsed from the stale layers
         self._cascade_calib = None
-        self._terms.clear()
         for cs in self._sets.values():
+            cs.split = None  # folded through the stale first layer
             cs.term = None
-            cs.split = None
 
     def _candidate_set(self, shape) -> _CandidateSet:
         self._refresh_fold()
@@ -969,8 +1020,7 @@ class ExhaustiveSearch:
         return cs
 
     def _attach_term(self, cs: _CandidateSet) -> None:
-        """Give a set its base's term (its twin adopted if it fits, else
-        built once) and its own ``T``."""
+        """Give a set its base's term (made once) and its own ``T``."""
         tkey, order, starts, split = cs.groups
         term = self._terms.get(tkey)
         if term is None:
@@ -978,13 +1028,7 @@ class ExhaustiveSearch:
                 j for j in range(self._spec.n_config_features)
                 if j not in split
             ]
-            term = _Term(order, starts, cs.record, columns)
-            lo = self._adopted.get(tkey)
-            shape = (len(cs.configs), self._folded.widths[0])
-            term.lo = (
-                lo if lo is not None and lo.shape == shape
-                else self._twin(term, shape)
-            )
+            term = _Term(order, starts, cs.record, columns, len(cs.configs))
             self._terms[tkey] = term
         cs.term = term
         if split:
@@ -993,48 +1037,11 @@ class ExhaustiveSearch:
             first = cs.record.features(order[starts], split)
             cs.split = self._folded.split_term(first, list(split))
 
-    def _twin(self, term: _Term, shape: tuple[int, int]) -> np.ndarray:
-        """``term``'s ``A`` in float32, built a chunk at a time, so no
-        float64 ``A`` is ever whole.  Row ranges run in parallel."""
-        lo = np.empty(shape, dtype=np.float32)
-
-        def build(a: int, b: int) -> None:
-            buf = np.empty((max(2, min(b - a, _CHUNK_ROWS)), shape[1]))
-            for c in range(a, b, _CHUNK_ROWS):
-                e = min(c + _CHUNK_ROWS, b)
-                lo[c:e] = self._folded.a_rows(term, slice(c, e), buf[:e - c])
-
-        map_rows(shape[0], _CHUNK_ROWS, build)
-        return lo
-
     def _first_layer(self, cs: _CandidateSet, shape) -> np.ndarray:
         """One shape's float64 first-layer constants ``h + T[g]``, one
         row per group (``h`` alone for a one-group set)."""
         h = self._folded._shape_term(self._spec.shape_vector(shape, log=True))
         return h[None] if cs.split is None else h + cs.split
-
-    def terms(self) -> dict[Hashable, np.ndarray]:
-        """Every built first-layer term's float32 twin, by term key.
-
-        The worker tier ships these through shared memory so a fresh
-        worker skips building them; only terms this search has actually
-        touched (and whose fold is current) appear.  A CONV term goes
-        once, under its base's key, whatever buckets used it.
-        """
-        self._refresh_fold()
-        return {key: term.lo for key, term in self._terms.items()}
-
-    def adopt_terms(self, terms: Mapping[Hashable, np.ndarray]) -> None:
-        """Accept externally built float32 twins by term key.
-
-        An array (typically a read-only shared-memory view) is used
-        verbatim iff its shape matches the term built for the key — it
-        was built from the same fit bytes and candidate columns, so its
-        values are bit-identical to a local build.  A mismatch (space
-        edit between export and attach) silently falls back to building
-        the twin locally.
-        """
-        self._adopted.update(terms)
 
     # ------------------------------------------------------------------
     # Two-stage cascade
@@ -1111,7 +1118,7 @@ class ExhaustiveSearch:
                 c1 = [self._first_layer(cs, shape)]
                 term = cs.term
                 f = self._folded.predict_batch(term, c1)
-                p = cas.proxies(term.lo, term.starts, c1)
+                p = cas.proxies(term, c1)
                 gap = float(np.max(np.abs(f - p.astype(np.float64))))
                 delta = max(delta, gap)
             margins[dtype.name] = delta * safety + 1e-9
@@ -1271,9 +1278,7 @@ class ExhaustiveSearch:
                 for lo in range(0, len(idxs), per):
                     sub = idxs[lo:lo + per]
                     t0 = time.perf_counter()
-                    proxies = cas.proxies(
-                        term.lo, term.starts, [c1[i] for i in sub]
-                    )
+                    proxies = cas.proxies(term, [c1[i] for i in sub])
                     self.cascade_stats.stage1_ms += (
                         time.perf_counter() - t0
                     ) * 1e3

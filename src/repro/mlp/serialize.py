@@ -29,7 +29,8 @@ FORMAT_VERSION = 1
 #: against other stage-1 arithmetic must not arm this one: change the
 #: constant whenever the stage-1 arithmetic changes.
 _STAGE1_FORM = (
-    b"cascade stage 1: thresholded ReLU layers, one constant per group"
+    b"cascade stage 1: thresholded ReLU layers, one constant per group, "
+    b"raw features through W1 / scale per chunk"
 )
 
 

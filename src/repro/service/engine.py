@@ -705,19 +705,16 @@ class Engine:
     def export_worker_state(self) -> "WorkerState":
         """Everything a worker process needs to serve this engine's pairs.
 
-        Fits are serialized once per (device, op) — this loads any still
-        lazy tuner, which is intended: worker boot is serve start.  The
-        cached enumerations and every first-layer term the searches have
-        built (its float32 twin, the one array a term holds) export as
-        named arrays destined for one shared-memory segment
+        Fits are serialized once per (device, op), each under its tuner
+        lock, so a concurrent hot-swap can never export a half-written
+        fit — this loads any still lazy tuner, which is intended: worker
+        boot is serve start.  The cached enumerations export as named
+        arrays destined for one shared-memory segment
         (see :class:`~repro.core.soa.SharedArrayPack`); the metadata
-        references arrays by name only, so it stays pipe-sized.  Each
-        pair's fit bytes and terms are read together under its tuner
-        lock, so a concurrent search or hot-swap can never ship one
-        fit's bytes with another fit's terms.  CONV buckets do not ship:
-        a worker derives them from the GEMM enumeration, and the CONV
-        term ships once per (device, dtype), under its base key,
-        whatever buckets the parent touched.
+        references arrays by name only, so it stays pipe-sized.  Nothing
+        a search computes ships: a search holds no array of one row per
+        candidate, CONV buckets derive from the GEMM enumeration, and
+        each worker's searches read the shared columns themselves.
         """
         from repro.core.candidate_store import collect_cache_records
         from repro.mlp.serialize import fit_to_bytes
@@ -736,7 +733,6 @@ class Engine:
             records.append({
                 "key": key, "op": op, "space": space, "columns": columns,
             })
-        terms: list[dict] = []
         for pair in sorted(self._known_pairs()):
             tuner = self._tuner(*pair)
             with self._tuner_locks[pair]:
@@ -744,15 +740,8 @@ class Engine:
                     fit_to_bytes(tuner.fit_result),
                     tuple(d.name for d in tuner.dtypes),
                 )
-                snapshot = tuner.searcher.terms()
-            for key, lo in snapshot.items():
-                name = f"lo.{len(terms)}"
-                arrays[name] = np.ascontiguousarray(lo)
-                terms.append({
-                    "device": pair[0], "op": pair[1], "key": key, "lo": name,
-                })
         return WorkerState(
-            fits=fits, records=records, terms=terms, arrays=arrays,
+            fits=fits, records=records, arrays=arrays,
             cascade_enabled=self._cascade_enabled,
             cascade_keep=self._cascade_keep,
         )
@@ -1063,14 +1052,14 @@ class Engine:
         pair's tuner lock is taken while searches go on against the live
         one.  When the live fit was calibrated and the engine runs the
         cascade, the new weights' margins are measured there too, so the
-        first post-swap query already serves from the shortlist path, on
-        the first-layer terms they were measured on.  A term is its
-        float32 twin alone (~21 MB for a GEMM set, built chunk by chunk;
-        calibration computes the float64 rows it reads per chunk), so
-        while the live search keeps its term the swap adds only the new
-        twin.  Under the lock — the lock every search takes — the live
+        first post-swap query already serves from the shortlist path.  A
+        search holds no array of one row per candidate (every pass
+        computes the first-layer rows it reads, a chunk at a time), so
+        the swap adds only the fresh search's small state and
+        calibration's per-chunk buffers and score rows beside the live
+        search.  Under the lock — the lock every search takes — the live
         tuner only takes the new fit and search, keeping its cascade
-        counters: a reader either completes against the old (fit, term)
+        counters: a reader either completes against the old (fit, search)
         pair or starts against the new one, searches never wait on a
         recalibration, and the fit that served before the swap is never
         written.
@@ -1281,22 +1270,19 @@ class Engine:
 class WorkerState:
     """One engine's serving state, split for cross-process shipping.
 
-    ``arrays`` (large: survivor columns, and each first-layer term's
-    float32 twin, ~160k rows each: ~21 MB for a GEMM term) are destined
-    for one :class:`~repro.core.soa.SharedArrayPack` segment; the rest is small
+    ``arrays`` (large: the enumerations' survivor columns, ~160k rows
+    each) are destined for one
+    :class:`~repro.core.soa.SharedArrayPack` segment; the rest is small
     (tens of KB of npz bytes per fit) and is what a worker boots from:
     :class:`~repro.service.worker_pool.WorkerPool` ships the state
     itself, its arrays left in the segment, over the boot pipe.
-    ``records`` and ``terms`` reference arrays by manifest name, never
-    by value: a term is ``{"device", "op", "key", "lo"}``, ``lo``
-    naming its twin.
+    ``records`` reference arrays by manifest name, never by value.
     ``cascade_enabled``/``cascade_keep`` carry the parent engine's
     cascade policy to every worker.
     """
 
     fits: dict[tuple[str, str], tuple[bytes, tuple[str, ...]]]
     records: list[dict]
-    terms: list[dict]
     arrays: dict[str, np.ndarray]
     cascade_enabled: bool = True
     cascade_keep: int | None = None
@@ -1308,10 +1294,8 @@ class WorkerEngine:
     A slim, single-process searcher rebuilt from a :class:`WorkerState`
     export and ``views`` of its arrays (zero-copy shared-memory views in
     a worker process): it seeds the enumeration cache, restores each
-    (device, op) tuner from its fit bytes, adopts the parent's
-    first-layer terms (float32 twins) by term key (CONV's by
-    its base key, for every bucket it derives from the GEMM
-    enumeration), and answers batched searches.
+    (device, op) tuner from its fit bytes, and answers batched searches
+    (CONV over buckets it derives from the GEMM enumeration).
     It keeps **no caches of its own** — the parent's LRU/profile levels
     stay authoritative and only misses are shipped here, so worker
     results are config-identical to the in-process path (same fit bytes,
@@ -1328,7 +1312,6 @@ class WorkerEngine:
 
         self.shared_bytes = int(shared_bytes)
         self.seeded_records = 0
-        self.adopted_terms = 0
         self.adopted_fits = 0
         self.searches = 0
         self._cascade_enabled = bool(state.cascade_enabled)
@@ -1347,14 +1330,6 @@ class WorkerEngine:
         self._lock = threading.Lock()
         for pair, fit in state.fits.items():
             self._build_tuner(pair, fit)
-        for item in state.terms:
-            tuner = self._tuners.get((item["device"], item["op"]))
-            if tuner is None:
-                continue
-            tuner.searcher.adopt_terms(
-                {tuple(item["key"]): views[item["lo"]]}
-            )
-            self.adopted_terms += 1
 
     def _build_tuner(
         self, pair: tuple[str, str], fit: tuple[bytes, tuple[str, ...]]
@@ -1390,10 +1365,7 @@ class WorkerEngine:
         """Hot-swap updated fits shipped by the parent's online loop.
 
         Each pair's tuner is rebuilt from the new fit bytes with a fresh
-        search, as the parent's swap builds one (its adopted terms were
-        folded through the old weights, so re-adopting them would tear
-        the (fit, term) pair — the worker rebuilds each twin lazily from
-        the shared candidate columns instead).  The worker is
+        search, as the parent's swap builds one.  The worker is
         single-threaded between RPCs, so the whole swap is atomic from
         the parent's point of view.  Returns the adopted version per
         pair.
@@ -1421,7 +1393,6 @@ class WorkerEngine:
         return {
             "shared_bytes": self.shared_bytes,
             "seeded_records": self.seeded_records,
-            "adopted_terms": self.adopted_terms,
             "adopted_fits": self.adopted_fits,
             "searches": self.searches,
             "cascade_searches": cascade_searches,

@@ -8,16 +8,16 @@ wall with a pool of worker *processes* — each runs a
 parent engine's exported state — and a consistent-hash ring that maps
 request cache keys onto workers.
 
-The expensive read-only state is **shared, not copied**: survivor
-candidate columns and the first-layer terms (each one float32 twin,
-~21 MB for a GEMM set) live in exactly one
+The expensive read-only state is **shared, not copied**: the
+enumerations' survivor candidate columns live in exactly one
 :class:`~repro.core.soa.SharedArrayPack` segment created by the pool;
 workers attach and rebuild numpy views over
 the same physical pages (zero re-enumeration, zero per-worker copy).
-Only the small artifacts — the exported
+A search computes the first-layer rows it reads from those columns, so
+nothing a search derives ships.  Only the small artifacts — the exported
 :class:`~repro.service.engine.WorkerState` without its arrays (fit
-bytes, record and term metadata) and the segment's manifest — travel
-over the boot pipe.
+bytes and record metadata) and the segment's manifest — travel over
+the boot pipe.
 
 Lifecycle per worker: spawn (``spawn`` context; the child caps its BLAS
 threads first, through the runtime setter of
@@ -571,9 +571,7 @@ class WorkerPool:
 
         The parent stays authoritative: the boot payload is replaced
         *first*, in one assignment, so a worker that crashes
-        mid-broadcast respawns straight onto the new fits and never
-        re-adopts a term (a float32 twin) folded through the old
-        weights — the payload drops every term of the updated pairs.
+        mid-broadcast respawns straight onto the new fits.
         Then each live worker gets an ``adopt`` RPC; a worker that dies
         here is already marked dead by its manager and simply misses the
         update — its respawn path has the new state.  Margins travel
@@ -583,12 +581,7 @@ class WorkerPool:
             raise WorkerCrashed("pool closed")
         if not fits:
             return 0
-        boot = self._boot
-        self._boot = replace(
-            boot, fits={**boot.fits, **fits},
-            terms=[t for t in boot.terms
-                   if (t["device"], t["op"]) not in fits],
-        )
+        self._boot = replace(self._boot, fits={**self._boot.fits, **fits})
         futures = []
         for w in self._workers:
             if w.dead:

@@ -18,9 +18,10 @@ production path calls them.
   and runs the plain forward pass
   (vs :meth:`repro.inference.search.ExhaustiveSearch.predictions`);
 * :func:`first_layer_whole_set` computes a set's float64 first-layer
-  term ``A`` in one product over all its rows (vs the twin, the
-  per-chunk rows and the gathers of
-  :meth:`repro.inference.search._FoldedMLP.a_rows`);
+  term ``A`` in one product over all its rows (vs the per-chunk rows
+  and the gathers of :meth:`repro.inference.search._FoldedMLP.a_rows`),
+  and :func:`stage1_first_layer_whole_set` stage 1's float32 ``x W1'``
+  (vs :meth:`repro.inference.search._Cascade.stage1_rows`);
 * :func:`generate_dataset_loop` draws one shape, one config and one
   benchmark per trip, in the RNG order of the pre-batching datasets
   (vs :func:`repro.sampling.dataset.generate_dataset`);
@@ -147,8 +148,7 @@ def first_layer_whole_set(search: ExhaustiveSearch, shape) -> np.ndarray:
 
     The base's shared config columns (every column for a one-group op)
     at all rows in group order, standardized, through the first layer,
-    plus its bias: the term the search cached before it kept only the
-    float32 twin.
+    plus its bias: the term the search once cached whole.
     """
     cs = search._candidate_set(shape)
     _, order, _, split = cs.groups
@@ -162,6 +162,20 @@ def first_layer_whole_set(search: ExhaustiveSearch, shape) -> np.ndarray:
         x = cs.record.features(order, cols)
     z = (x - folded._mean_c[cols]) / folded._scale_c[cols]
     return z @ folded._w1_cfg[cols] + folded._b1
+
+
+def stage1_first_layer_whole_set(
+    search: ExhaustiveSearch, shape
+) -> np.ndarray:
+    """Stage 1's float32 first layer of ``shape``'s set in one product.
+
+    The term's log features at all rows in group order, cast to
+    float32, times ``W1' = W1[cols] / scale[cols]``: the rows stage 1
+    computes a chunk at a time, before each shape's constant.
+    """
+    term = search._candidate_set(shape).term
+    w1, _ = search._folded.stage1_layer(term.columns)
+    return term.features(slice(None)).astype(np.float32) @ w1
 
 
 def generate_dataset_loop(

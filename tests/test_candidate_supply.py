@@ -2,11 +2,11 @@
 
 GEMM and bgemm enumerate X̂ in blocks, so no set-up holds X̂'s columns at
 once; a CONV bucket holds its per-tile split rows, and the search never
-derives its full log-feature matrix.  A first-layer term is its float32
-twin alone: every float64 pass computes the rows of ``A`` it reads, and
-those rows and the twin are the bits of one whole-set product.  The
-blocked enumeration and the first-layer rows are held to the one-shot
-forms they replaced (``tests/oracles.py``).
+derives its full log-feature matrix.  A search holds no array of one row
+per candidate: every pass computes the first-layer rows it reads, float64
+rows of ``A`` or stage 1's float32 products, and those rows are the bits
+of one whole-set product.  The blocked enumeration and the first-layer
+rows are held to the one-shot forms they replaced (``tests/oracles.py``).
 """
 
 import tracemalloc
@@ -30,7 +30,11 @@ from repro.inference.search import (
 from repro.mlp.crossval import FitResult
 from repro.mlp.serialize import fit_from_bytes, fit_to_bytes
 from tests.conftest import TINY_GEMM_SPACE
-from tests.oracles import enumeration_one_shot, first_layer_whole_set
+from tests.oracles import (
+    enumeration_one_shot,
+    first_layer_whole_set,
+    stage1_first_layer_whole_set,
+)
 
 MIB = 1 << 20
 
@@ -165,10 +169,20 @@ def _held_arrays(root) -> list[np.ndarray]:
     return out
 
 
+def _rows_per_candidate(search) -> list[tuple]:
+    """Shapes of the arrays ``search`` holds with one row per GEMM
+    candidate (P100/FP32)."""
+    n = len(legal_record(TESLA_P100, DType.FP32).configs)
+    return [
+        (a.dtype, a.shape) for a in _held_arrays(search)
+        if a.ndim and len(a) == n
+    ]
+
+
 def test_a_search_holds_no_float64_row_per_candidate(trained_gemm_tuner):
-    """After calibration and a batched search, a GEMM search's term is
-    its float32 twin: no float64 array of one row per candidate (``A``:
-    ~39 MiB) stays behind."""
+    """After calibration and a batched search, a GEMM search holds no
+    array of one row per candidate, of any dtype: not ``A`` (float64,
+    ~39 MiB) nor its float32 twin (~20 MiB)."""
     fresh = ExhaustiveSearch(trained_gemm_tuner.fit_result, TESLA_P100)
     fresh.calibrate_cascade((DType.FP32,))
     shapes = [
@@ -177,29 +191,43 @@ def test_a_search_holds_no_float64_row_per_candidate(trained_gemm_tuner):
     ]
     assert [len(t) for t in fresh.top_k_batch(shapes, 8)] == [8, 8]
     assert fresh.cascade_stats.cascade_queries == len(shapes)
-    n = len(legal_record(TESLA_P100, DType.FP32).configs)
-    held = _held_arrays(fresh)
-    assert any(a.dtype == np.float32 and len(a) == n for a in held)
-    assert not [
-        a.shape for a in held
-        if a.dtype == np.float64 and a.ndim and len(a) == n
-    ]
-    terms = fresh.terms()
-    assert terms and all(t.dtype == np.float32 for t in terms.values())
+    assert fresh._terms  # the term is there, as where rows are read
+    assert _rows_per_candidate(fresh) == []
 
 
-def test_swap_build_and_calibration_peaks_below_45_mib(trained_gemm_tuner):
+@pytest.mark.parametrize("how", ["cascade-off", "uncalibrated"])
+def test_an_exhaustive_search_holds_no_row_per_candidate(
+    trained_gemm_tuner, how
+):
+    """A search that never runs stage 1 — the cascade switched off, or a
+    fit without margins — holds nothing stage 1 would read either."""
+    fit = trained_gemm_tuner.fit_result
+    if how == "uncalibrated":
+        fit = fit_from_bytes(fit_to_bytes(fit))
+        fit.cascade = None
+    fresh = ExhaustiveSearch(
+        fit, TESLA_P100, cascade=how != "cascade-off"
+    )
+    shape = GemmShape(1000, 24, 3000, DType.FP32, False, False)
+    assert len(fresh.top_k(shape, 8)) == 8
+    assert fresh._cascade_state() is None
+    assert fresh.cascade_stats.exhaustive_queries == 1
+    assert _rows_per_candidate(fresh) == []
+
+
+def test_swap_build_and_calibration_peaks_below_16_mib(trained_gemm_tuner):
     """What a hot swap builds off the tuner lock — ``Isaac.from_fit`` of
-    the update's fit and its margins — allocates one float32 twin (~20
-    MiB) and per-chunk rows, never a whole-set float64 ``A`` (~39 MiB,
-    which the bias add once allocated twice: a 79 MiB peak)."""
+    the update's fit and its margins — allocates per-chunk rows and
+    one calibration shape's score rows (~9 MiB), never a float32 twin
+    of ``A`` (~20 MiB: a 29 MiB peak) or a whole-set float64 ``A``
+    (~39 MiB: 79 MiB)."""
     legal_record(TESLA_P100, DType.FP32)  # the shared supply, built once
     fit = fit_from_bytes(fit_to_bytes(trained_gemm_tuner.fit_result))
     calibration, peak, _ = _traced(lambda: Isaac.from_fit(
         TESLA_P100, "gemm", fit, dtypes=(DType.FP32,)
     ).calibrate_cascade())
     assert calibration.margins["FP32"] > 0
-    assert peak < 45 * MIB, peak / MIB
+    assert peak < 16 * MIB, peak / MIB
 
 
 # ----------------------------------------------------------------------
@@ -224,19 +252,20 @@ _SHAPES = {
 def test_first_layer_rows_equal_the_whole_set_product(
     op, width, request, monkeypatch
 ):
-    """At scoring widths 1 and 2, the twin is the whole-set ``A`` cast
-    to float32, and every float64 row of ``A`` a pass computes — each
-    chunk of the exhaustive pass, its tail included, and each shortlist
-    gather, a one-row gather included — is that product's row."""
+    """At scoring widths 1 and 2, every first-layer row a pass computes
+    is a whole-set product's row: stage 1's float32 ``x W1'`` in each
+    chunk of a stage-1 pass, and the float64 ``A`` in each chunk of the
+    exhaustive pass, its tail included, and each shortlist gather, a
+    one-row gather included."""
     tuner = request.getfixturevalue(_TUNERS[op])
     monkeypatch.setattr(partition, "scoring_width", lambda: width)
     fresh = ExhaustiveSearch(tuner.fit_result, TESLA_P100, op)
     shape = _SHAPES[op]
     term = fresh._candidate_set(shape).term
     want = first_layer_whole_set(fresh, shape)
+    want_lo = stage1_first_layer_whole_set(fresh, shape)
     n = len(want)
-    assert term.lo.dtype == np.float32
-    assert np.array_equal(term.lo, want.astype(np.float32))
+    assert want_lo.dtype == np.float32 and want_lo.shape == want.shape
 
     chunks = {}
     score_chunks = search._score_chunks
@@ -247,6 +276,16 @@ def test_first_layer_rows_equal_the_whole_set_product(
             return chunks[c, e]
 
         score_chunks(n, starts, consts, out, widths, rows, score)
+
+    cas = search._Cascade(fresh._folded, {})
+    c1 = fresh._first_layer(fresh._candidate_set(shape), shape)
+    with monkeypatch.context() as m:
+        m.setattr(search, "_score_chunks", spy_chunks)
+        cas.proxies(term, [c1])
+    stage1, chunks = chunks, {}
+    for (c, e), rows in stage1.items():
+        assert rows.dtype == np.float32
+        assert np.array_equal(rows, want_lo[c:e]), (c, e)
 
     gathers = []
     a_rows = _FoldedMLP.a_rows
@@ -268,15 +307,19 @@ def test_first_layer_rows_equal_the_whole_set_product(
     assert cuts[0][0] == 0 and cuts[-1][1] == n
     assert all(a[1] == b[0] for a, b in zip(cuts, cuts[1:]))
     assert (n - cuts[-1][0]) % _CHUNK_ROWS  # a tail chunk
+    assert sorted(stage1) == cuts  # stage 1 walks the same grid
     for (c, e), rows in chunks.items():
         assert np.array_equal(rows, want[c:e]), (c, e)
     ((shortlist, got),) = gathers
     assert np.array_equal(got, want[shortlist])
     rng = np.random.default_rng(3)
+    w1, _ = fresh._folded.stage1_layer(term.columns)
     for size in (1, 2, 3, 257, _CHUNK_ROWS + 1):
         rows = np.sort(rng.choice(n, size, replace=False))
         got = fresh._folded.a_rows(term, rows)
         assert np.array_equal(got, want[rows]), size
+        got = search._Cascade.stage1_rows(term, rows, w1)
+        assert np.array_equal(got, want_lo[rows]), size
 
 
 # ----------------------------------------------------------------------

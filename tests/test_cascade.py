@@ -257,18 +257,25 @@ def _add_then_clamp_digest(fit) -> str:
 #: its own prescaled term, one shape constant per set.
 _PER_SET_FORM = b"cascade stage 1: thresholded ReLU layers"
 
+#: The stage-1 form calibrations carried while stage 1 streamed over a
+#: cached float32 twin of each term's standardized first layer.
+_TWIN_FORM = (
+    b"cascade stage 1: thresholded ReLU layers, one constant per group"
+)
 
-def _per_set_form_digest(fit, monkeypatch) -> str:
+
+def _form_digest(fit, form, monkeypatch) -> str:
     with monkeypatch.context() as m:
-        m.setattr(serialize, "_STAGE1_FORM", _PER_SET_FORM)
+        m.setattr(serialize, "_STAGE1_FORM", form)
         return fit_weights_digest(fit)
 
 
 def test_margin_of_the_previous_stage1_form_never_arms(
     mutable_tuner, tmp_path, monkeypatch
 ):
-    """A margin measured against an older stage-1 form (per-set terms,
-    or add-then-clamp before it) sized another proxy's rounding: the fit
+    """A margin measured against an older stage-1 form (a float32 twin
+    of the standardized first layer, per-set terms before it, or
+    add-then-clamp before them) sized another proxy's rounding: the fit
     searches exhaustively (same top-k, counted) until warmup
     recalibrates it and re-saves it."""
     shape = GemmShape(288, 64, 288, DType.FP32, False, True)
@@ -276,9 +283,10 @@ def test_margin_of_the_previous_stage1_form_never_arms(
     stats = search.cascade_stats
     fit = mutable_tuner.fit_result
     calib = fit.cascade
-    assert serialize._STAGE1_FORM != _PER_SET_FORM
+    assert serialize._STAGE1_FORM not in (_PER_SET_FORM, _TWIN_FORM)
     older = [_add_then_clamp_digest(fit),
-             _per_set_form_digest(fit, monkeypatch)]
+             _form_digest(fit, _PER_SET_FORM, monkeypatch),
+             _form_digest(fit, _TWIN_FORM, monkeypatch)]
     assert calib.weights_digest not in older
     before_cas = stats.cascade_queries
     want = mutable_tuner.top_k(shape, 10)
@@ -301,7 +309,7 @@ def test_margin_of_the_previous_stage1_form_never_arms(
             assert stats.cascade_queries == before_cas + 1
             assert _tops_equal(got, want)
         path = tmp_path / "older-form.npz"
-        mutable_tuner.save(path)  # carries the per-set form's digest
+        mutable_tuner.save(path)  # carries the twin form's digest
     finally:
         fit.cascade = calib
 
@@ -462,9 +470,9 @@ def test_hot_swap_mid_traffic_never_serves_stale_margins():
 def test_hot_swap_calibrates_outside_the_tuner_lock(monkeypatch):
     """A hot-swap measures the new weights' margins before it takes the
     tuner lock, so no search waits on a recalibration.  The swap attaches
-    exactly the margins an in-place recalibration measures, and the
-    float32 twins they were measured on: the first post-swap search
-    cascades without building a twin or a whole-set first-layer pass."""
+    exactly the margins an in-place recalibration measures: the first
+    post-swap search cascades in one stage-1 pass, and computes float64
+    first-layer rows only for its shortlist."""
     engine = Engine(
         online=OnlineConfig(update_every=8, epochs=2, anchor_size=64,
                             batch_size=32),
@@ -492,12 +500,12 @@ def test_hot_swap_calibrates_outside_the_tuner_lock(monkeypatch):
     fit = tuner.fit_result
     assert fit.cascade.weights_digest == fit_weights_digest(fit)
 
-    twins = []
-    twin = search_module.ExhaustiveSearch._twin
+    passes = []
+    proxies = search_module._Cascade.proxies
 
-    def spy_twin(self, term, shape):
-        twins.append(shape)
-        return twin(self, term, shape)
+    def spy_proxies(self, term, consts):
+        passes.append(len(consts))
+        return proxies(self, term, consts)
 
     computed = []
     a_rows = search_module._FoldedMLP.a_rows
@@ -507,12 +515,12 @@ def test_hot_swap_calibrates_outside_the_tuner_lock(monkeypatch):
         computed.append(len(a))
         return a
 
-    monkeypatch.setattr(search_module.ExhaustiveSearch, "_twin", spy_twin)
+    monkeypatch.setattr(search_module._Cascade, "proxies", spy_proxies)
     monkeypatch.setattr(search_module._FoldedMLP, "a_rows", spy_a_rows)
     before = engine.stats()
     engine.query(KernelRequest("gemm", _shape(500), k=10, reps=2))
     after = engine.stats()
-    assert twins == []
+    assert passes == [1]
     # Stage 2's one shortlist gather, never the whole set.
     n = len(tuner.searcher._candidate_set(_shape(500)).configs)
     assert len(computed) == 1 and computed[0] < n
@@ -609,6 +617,48 @@ def test_warmup_calibrates_and_persists_legacy_store(tmp_path):
     assert fit_from_bytes(path.read_bytes()).cascade is not None
 
 
+def test_serve_rearms_a_store_of_an_older_stage1_form(
+    tmp_path, monkeypatch, capsys
+):
+    """``serve`` recalibrates a stored calibration of the twin form
+    before clients start, so every cold query it serves cascades (no
+    warmup needed) and the store is re-saved under the current form.
+    An unreadable fit beside it is quarantined, not a failed boot."""
+    import json
+    import re
+
+    from repro.harness.cli import main
+
+    tuner = _tiny_tuner()
+    fit = tuner.fit_result
+    fit.cascade = CascadeCalibration(
+        margins=dict(fit.cascade.margins),
+        weights_digest=_form_digest(fit, _TWIN_FORM, monkeypatch),
+        n_shapes=fit.cascade.n_shapes,
+        safety=fit.cascade.safety,
+    )
+    path = tmp_path / "pascal--gemm.npz"
+    tuner.save(path)
+    rotten = tmp_path / "pascal--conv.npz"
+    rotten.write_bytes(b"not a fit")
+    rotten.with_suffix(".npz.meta.json").write_text(
+        json.dumps({"device": DEVICE, "op": "conv"})
+    )
+    with pytest.warns(UserWarning, match="unreadable"):
+        rc = main([
+            "serve", "--models", str(tmp_path), "--network", "rnn",
+            "--passes", "1", "--concurrency", "4", "-k", "5",
+            "--reps", "1",
+        ])
+    out = capsys.readouterr().out
+    assert rc == 0
+    searches = int(re.search(r"searches=(\d+) evictions", out).group(1))
+    assert searches >= 1
+    assert f"cascade: searches={searches} exhaustive=0 fallbacks=0" in out
+    saved = fit_from_bytes(path.read_bytes())
+    assert saved.cascade.weights_digest == fit_weights_digest(saved)
+
+
 # ----------------------------------------------------------------------
 # Worker tier: cascade state ships zero-copy, policy follows the parent
 # ----------------------------------------------------------------------
@@ -620,12 +670,8 @@ def test_worker_state_ships_and_adopts_cascade(trained_gemm_tuner):
     want = engine.query(KernelRequest("gemm", shape, k=8, reps=2))
     state = engine.export_worker_state()
     assert state.cascade_enabled
-    twins = [term["lo"] for term in state.terms if term["lo"] is not None]
-    assert len(twins) >= 1
-    assert all(state.arrays[name].dtype == np.float32 for name in twins)
 
     worker = WorkerEngine(state, state.arrays)
-    assert worker.adopted_terms == len(state.terms)
     ((ok, payload),) = worker.search_batch(DEVICE, "gemm", [shape], 8, 2)
     assert ok
     assert payload[0] == want.config
@@ -656,38 +702,30 @@ def test_worker_inherits_disabled_cascade_policy(trained_gemm_tuner):
 def test_export_reads_fit_and_terms_under_the_pair_lock(
     trained_gemm_tuner, monkeypatch
 ):
-    """A pool that boots while a search adds a term or a swap lands must
-    ship one fit's bytes with that fit's terms: the export reads both
-    with the pair's tuner lock held."""
+    """A pool that boots while a swap lands must ship one whole fit's
+    bytes: the export reads them with the pair's tuner lock held."""
     engine = Engine(max_workers=0)
     engine.register(trained_gemm_tuner)
     engine.query(KernelRequest("gemm", _shape(176), k=8, reps=2))
     lock = engine._tuner_locks[(DEVICE, "gemm")]
     held = []
-    terms = search_module.ExhaustiveSearch.terms
     to_bytes = serialize.fit_to_bytes
-
-    def spy_terms(self):
-        held.append(("terms", lock.locked()))
-        return terms(self)
 
     def spy_bytes(fit):
         held.append(("fit", lock.locked()))
         return to_bytes(fit)
 
-    monkeypatch.setattr(search_module.ExhaustiveSearch, "terms", spy_terms)
     monkeypatch.setattr(serialize, "fit_to_bytes", spy_bytes)
     state = engine.export_worker_state()
     engine.close()
-    assert held == [("fit", True), ("terms", True)]
-    assert state.terms
+    assert held == [("fit", True)]
+    assert list(state.fits) == [(DEVICE, "gemm")]
 
 
 def test_broadcast_drops_cascade_twins_for_updated_pairs():
-    """After a hot-swap broadcast, the boot payload keeps no term of the
-    updated pair — no float32 twin built from the old weights — so a
-    respawned worker re-arms from the new fit bytes and rebuilds its
-    twins lazily."""
+    """After a hot-swap broadcast, the boot payload carries the updated
+    pair's new fit bytes, so a respawned worker re-arms from them, and
+    the live worker serves the swap's answers through the cascade."""
     from repro.service.worker_pool import WorkerPool
 
     engine = Engine(
@@ -699,8 +737,6 @@ def test_broadcast_drops_cascade_twins_for_updated_pairs():
     try:
         with WorkerPool(engine, 1) as pool:
             assert pool._boot.cascade_enabled
-            assert any(t["lo"] is not None for t in pool._boot.terms)
-            assert pool.ping(0)["adopted_terms"] >= 1
 
             engine.query(
                 KernelRequest("gemm", _shape(224, 96, 224), k=8, reps=2)
@@ -708,7 +744,6 @@ def test_broadcast_drops_cascade_twins_for_updated_pairs():
             assert engine.run_online_updates()
             fits = engine.export_fits([(DEVICE, "gemm")])
             assert pool.broadcast_fits(fits) == 1
-            assert pool._boot.terms == []
             assert pool._boot.fits[(DEVICE, "gemm")] == fits[
                 (DEVICE, "gemm")
             ]

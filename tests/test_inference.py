@@ -644,15 +644,15 @@ def blas_budget():
 
 
 def _scoring_inputs(tuner, shapes):
-    """The term ``shapes[0]``'s set scores, its float32 twin, and every
-    shape's first-layer constants (each from its own set: the sets of
-    one op and dtype share the term)."""
+    """The term ``shapes[0]``'s set scores and every shape's first-layer
+    constants (each from its own set: the sets of one op and dtype
+    share the term)."""
     search = tuner.searcher
     sets = [search._candidate_set(s) for s in shapes]
     term = sets[0].term
     assert all(cs.term is term for cs in sets)
     c1s = [search._first_layer(cs, s) for cs, s in zip(sets, shapes)]
-    return search, term, term.lo, c1s
+    return search, term, c1s
 
 
 def _tops(preds):
@@ -665,20 +665,20 @@ def test_partitioned_scoring_is_bit_identical(op, request, force_width):
     chunk, between chunk multiples, and whole; a shape scored alone
     gets its numbers in the batch."""
     tuner = request.getfixturevalue(_OP_TUNERS[op])
-    search, term, h0_lo, c1s = _scoring_inputs(tuner, _OP_SHAPES[op])
+    search, term, c1s = _scoring_inputs(tuner, _OP_SHAPES[op])
     folded = search._folded
     cas = _Cascade(folded, {})
     n = len(term)
     sizes = {1, 7, _CHUNK_ROWS - 1, _CHUNK_ROWS + 1, 3 * _CHUNK_ROWS + 5, n}
     for rows in sorted(r for r in sizes if r <= n):
         starts = term.starts[term.starts < rows]
-        part = replace(term, lo=h0_lo[:rows], starts=starts)
+        part = replace(term, n=rows, starts=starts)
         results = {}
         for width in (1, 2, 3):
             force_width(width)
             results[width] = (
-                cas.proxies(h0_lo[:rows], starts, c1s),
-                cas.proxies(h0_lo[:rows], starts, c1s[:1]),
+                cas.proxies(part, c1s),
+                cas.proxies(part, c1s[:1]),
                 folded.predict_batch(part, c1s),
                 folded.predict_batch(part, c1s[:1]),
             )
@@ -728,7 +728,7 @@ def test_proxy_gap_within_margin_on_whole_sets(op, request, force_width):
     cas = search._cascade_state()
     assert cas is not None
     for shape in _UNSAMPLED_SHAPES[op]:
-        _, term, h0_lo, (c1,) = _scoring_inputs(tuner, [shape])
+        _, term, (c1,) = _scoring_inputs(tuner, [shape])
         if op == "conv":
             # One constant per tile group, each with its own split term.
             assert len(term.starts) == len(c1) > 1
@@ -739,7 +739,7 @@ def test_proxy_gap_within_margin_on_whole_sets(op, request, force_width):
         for width in (1, 2):
             force_width(width)
             full = search._folded.predict_batch(term, [c1])
-            proxy = cas.proxies(h0_lo, term.starts, [c1]).astype(np.float64)
+            proxy = cas.proxies(term, [c1]).astype(np.float64)
             assert np.max(np.abs(full - proxy)) <= delta, (op, shape, width)
             scores[width] = full[0]
         assert np.array_equal(scores[1], scores[2])
@@ -749,6 +749,18 @@ def test_proxy_gap_within_margin_on_whole_sets(op, request, force_width):
         np.testing.assert_allclose(
             model, predictions_reference(search, shape), rtol=0, atol=2e-9
         )
+
+
+@pytest.mark.parametrize("op", ["gemm", "conv", "bgemm"])
+def test_calibrated_margins_stay_rounding_sized(op, request):
+    """Stage 1 adds the standardization's shift to each shape's constant
+    instead of centring the features, so its products are larger than
+    ``A``'s rows and round coarser: the calibrated margin must stay a
+    rounding error (at most 1e-4 standardized units, against the
+    ~0.01-unit gap at the top-k frontier), or the shortlist widens."""
+    tuner = request.getfixturevalue(_OP_TUNERS[op])
+    (margin,) = tuner.fit_result.cascade.margins.values()
+    assert 0 < margin <= 1e-4, margin
 
 
 @pytest.mark.parametrize("op", ["gemm", "conv", "bgemm"])
@@ -887,7 +899,7 @@ def test_forked_child_builds_its_own_pool(force_width):
 @pytest.mark.parametrize("op", ["gemm", "conv", "bgemm"])
 def test_gathered_predict_equals_full_predict(op, request):
     tuner = request.getfixturevalue(_OP_TUNERS[op])
-    search, term, _, (c1, *_) = _scoring_inputs(tuner, _OP_SHAPES[op])
+    search, term, (c1, *_) = _scoring_inputs(tuner, _OP_SHAPES[op])
     full = search._folded.predict_batch(term, [c1])[0]
     rng = np.random.default_rng(5)
     n = len(full)
@@ -908,7 +920,7 @@ def test_gathered_predict_equals_full_predict(op, request):
 def test_conv_buckets_share_one_term(small_conv_tuner):
     """Two buckets' sets score one term object; each holds only its own
     (tile groups x width) split term, its record only its 25 split rows
-    (no matrix), and the search exports one term per base."""
+    (no matrix), and the search holds one term per base."""
     search = small_conv_tuner.searcher
     a = search._candidate_set(_conv(1, 1))
     b = search._candidate_set(_conv(32, 8))
@@ -930,8 +942,8 @@ def test_conv_buckets_share_one_term(small_conv_tuner):
     assert not np.array_equal(a.split, b.split)
     base_key = ("conv", TESLA_P100.name, "FP32")
     assert a.groups[0] == b.groups[0] == base_key
-    assert list(search.terms()) == [base_key]
-    assert search.terms()[base_key] is a.term.lo
+    assert list(search._terms) == [base_key]
+    assert search._terms[base_key] is a.term
 
 
 def test_grouped_scoring_is_bit_identical_across_widths(
@@ -941,7 +953,7 @@ def test_grouped_scoring_is_bit_identical_across_widths(
     proxies and float64 outputs of shapes from two buckets are the same
     at widths 1 and 2."""
     shapes = [_conv(2, 4), _conv(64, 2)]
-    search, term, h0_lo, c1s = _scoring_inputs(small_conv_tuner, shapes)
+    search, term, c1s = _scoring_inputs(small_conv_tuner, shapes)
     assert len(term.starts) == 25
     assert any(s % _CHUNK_ROWS for s in term.starts)
     cas = _Cascade(search._folded, {})
@@ -949,7 +961,7 @@ def test_grouped_scoring_is_bit_identical_across_widths(
     for width in (1, 2):
         force_width(width)
         results[width] = (
-            cas.proxies(h0_lo, term.starts, c1s),
+            cas.proxies(term, c1s),
             search._folded.predict_batch(term, c1s),
         )
     for serial, parted in zip(results[1], results[2]):
@@ -970,9 +982,9 @@ def test_batch_over_conv_buckets_runs_one_stage1_pass(
     passes = []
     proxies = _Cascade.proxies
 
-    def spy(self, h0_lo, starts, consts):
+    def spy(self, term, consts):
         passes.append(len(consts))
-        return proxies(self, h0_lo, starts, consts)
+        return proxies(self, term, consts)
 
     stats = search.cascade_stats
     before = stats.cascade_queries

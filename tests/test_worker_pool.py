@@ -74,8 +74,6 @@ def test_warm_boot_shares_state(pool):
         # and seeded its candidate caches from shared views.
         assert w["boot_shared_bytes"] == pool.shared_bytes
         assert w["boot_seeded_records"] > 0
-        # The parent's hot searcher had first-layer terms to adopt.
-        assert w["boot_adopted_terms"] >= 1
 
 
 def test_ping_reports_live_accounting(pool):
